@@ -20,19 +20,24 @@ verbatim and makes reruns byte-identical.
 from __future__ import annotations
 
 import argparse
-import csv
+import json
 import os
 import sys
 from dataclasses import dataclass
-from multiprocessing import Pool
+from itertools import chain
 from pathlib import Path
+from typing import Iterator
 
+from .jacobi import _check_exponent
 from .modarith import is_prime, split_primes
-from .residue_symbols import SymbolCache, classify_for
-from .spectra import TraceCatalog, rank_scan, trace_stream
+from .records import ordered_map, write_csv
+from .residue_symbols import SymbolCache, SymbolReport, symbol_key, symbol_report
+from .spectra import TraceCatalog, TracePolynomial, rank_scan, trace_stream, write_rank_csv
 from .vandiver import (
     DEFAULT_MAX_STEPS,
+    CriterionVerdict,
     ScanCache,
+    ScanRecord,
     criterion_a,
     criterion_b,
     density_scan,
@@ -98,76 +103,63 @@ def _open_cache(cfg: RunConfig, filename: str, factory):
     return factory(path)
 
 
-def _prime_range(args: argparse.Namespace) -> list[int]:
+def _prime_range(args: argparse.Namespace) -> Iterator[int]:
+    """Primes from --p to --p-max, checked when the iteration starts."""
     p = args.p
     if not is_prime(p) or p < 3:
         raise ValueError(f"p={p} is not an odd prime")
-    p_max = getattr(args, "p_max", None)
-    if p_max is None:
-        return [p]
-    return [q for q in range(p, p_max + 1) if q % 2 == 1 and is_prime(q)]
+    p_max = p if args.p_max is None else args.p_max
+    yield from (q for q in range(p, p_max + 1) if is_prime(q))
 
 
 def _l_stream(args: argparse.Namespace, p: int):
-    if getattr(args, "l", None) is not None:
+    if args.l is not None:
         return [args.l]
-    l_max = getattr(args, "l_max", None)
-    count = getattr(args, "count", None)
-    if l_max is None and count is None:
-        return split_primes(p, count=1)
-    return split_primes(p, bound=l_max, count=count)
+    count = 1 if args.l_max is None and args.count is None else args.count
+    return split_primes(p, bound=args.l_max, count=count)
+
+
+def _emit(cfg: RunConfig, header: tuple[str, ...], records, text=None) -> None:
+    """Print records as text lines, JSON lines, or CSV rows under header."""
+    if cfg.format == "csv":
+        write_csv(sys.stdout, header, (rec.row() for rec in records))
+        return
+    for rec in records:
+        print(rec.to_json() if cfg.format == "json" else text(rec))
+
+
+def _expp_text(rec: ScanRecord) -> str:
+    line = f"p={rec.p} el={rec.l} c={rec.c} g={rec.g}"
+    return line + " expp:" + ",".join(str(n) for n in rec.expp) if rec.expp else line
 
 
 def cmd_expp(args: argparse.Namespace, cfg: RunConfig) -> int:
     cache = _open_cache(cfg, "scan.jsonl", ScanCache)
-    writer = csv.writer(sys.stdout) if cfg.format == "csv" else None
-    if writer is not None:
-        writer.writerow(["p", "l", "c", "g", "expp", "ms"])
-    for p in _prime_range(args):
-        for rec in scan_pairs(p, _l_stream(args, p), c=args.c, jobs=cfg.jobs, cache=cache):
-            if cfg.format == "json":
-                print(rec.to_json())
-            elif writer is not None:
-                writer.writerow([rec.p, rec.l, rec.c, rec.g,
-                                 ",".join(str(n) for n in rec.expp), rec.ms])
-            else:
-                line = f"p={rec.p} el={rec.l} c={rec.c} g={rec.g}"
-                if rec.expp:
-                    line += " expp:" + ",".join(str(n) for n in rec.expp)
-                print(line)
+    records = chain.from_iterable(
+        scan_pairs(p, _l_stream(args, p), c=args.c, jobs=cfg.jobs, cache=cache)
+        for p in _prime_range(args))
+    _emit(cfg, ScanRecord.CSV_HEADER, records, _expp_text)
     return 0
 
 
 def cmd_vandiver(args: argparse.Namespace, cfg: RunConfig) -> int:
     cache = _open_cache(cfg, "scan.jsonl", ScanCache)
-    writer = csv.writer(sys.stdout) if cfg.format == "csv" else None
-    if writer is not None:
-        writer.writerow(["p", "mode", "holds", "steps", "witnesses", "intersection"])
-    rc = 0
-    for p in _prime_range(args):
-        if args.mode == "a":
-            verdict = criterion_a(p, l=args.l, c=args.c)
-        else:
-            stream = split_primes(p, bound=args.l_max)
-            verdict = criterion_b(
-                p,
-                stream=stream,
-                max_steps=args.count or DEFAULT_MAX_STEPS,
-                c=args.c,
-                jobs=cfg.jobs,
-                cache=cache,
-            )
-        if cfg.format == "json":
-            print(verdict.to_json())
-        elif writer is not None:
-            writer.writerow([verdict.p, verdict.mode, verdict.holds, verdict.steps,
-                             ",".join(str(l) for l in verdict.witnesses),
-                             verdict.intersection.render()])
-        else:
-            print(verdict.render())
-        if not verdict.holds:
-            rc = 3
-    return rc
+    unmet: list[int] = []
+
+    def verdicts():
+        for p in _prime_range(args):
+            if args.mode == "a":
+                verdict = criterion_a(p, l=args.l, c=args.c)
+            else:
+                verdict = criterion_b(p, stream=split_primes(p, bound=args.l_max),
+                                      max_steps=args.count or DEFAULT_MAX_STEPS,
+                                      c=args.c, jobs=cfg.jobs, cache=cache)
+            if not verdict.holds:
+                unmet.append(p)
+            yield verdict
+
+    _emit(cfg, CriterionVerdict.CSV_HEADER, verdicts(), CriterionVerdict.render)
+    return 3 if unmet else 0
 
 
 def cmd_scan(args: argparse.Namespace, cfg: RunConfig) -> int:
@@ -187,15 +179,8 @@ def cmd_scan(args: argparse.Namespace, cfg: RunConfig) -> int:
               f"last={table.last_l} counts={table.render_vector()}")
         return 0
     stream = split_primes(p, bound=args.l_max, count=args.count)
-    writer = csv.writer(sys.stdout) if cfg.format == "csv" else None
-    if writer is not None:
-        writer.writerow(["p", "l", "c", "g", "expp", "ms"])
-    for rec in scan_pairs(p, stream, c=args.c, jobs=cfg.jobs, cache=cache):
-        if writer is not None:
-            writer.writerow([rec.p, rec.l, rec.c, rec.g,
-                             ",".join(str(n) for n in rec.expp), rec.ms])
-        else:
-            print(rec.to_json())
+    _emit(cfg, ScanRecord.CSV_HEADER,
+          scan_pairs(p, stream, c=args.c, jobs=cfg.jobs, cache=cache))
     return 0
 
 
@@ -207,18 +192,10 @@ def cmd_rank(args: argparse.Namespace, cfg: RunConfig) -> int:
     reached, lp, history = rank_scan(p, stream=stream, c=args.c)
     rank = history[-1][1] if history else 0
     if cfg.format == "json":
-        import json as _json
-
-        print(_json.dumps({"p": p, "r": rank, "elp": lp,
-                           "history": [list(h) for h in history]}))
+        print(json.dumps({"p": p, "r": rank, "elp": lp,
+                          "history": [list(h) for h in history]}))
     elif cfg.format == "csv":
-        import math as _math
-
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["l", "rank", "ratio"])
-        scale = p * p * _math.log(p * p)
-        for l, r in history:
-            writer.writerow([l, r, f"{l / scale:.4f}"])
+        write_rank_csv(p, history, sys.stdout)
     else:
         print(f"p={p} r={rank} elp={lp if reached else '-'}")
     return 0
@@ -234,68 +211,37 @@ def cmd_trace(args: argparse.Namespace, cfg: RunConfig) -> int:
     # dense is the reference for single pairs; ranges use the O(l) route
     method = args.mode or ("dense" if args.l is not None else "fast")
     ls = [args.l] if args.l is not None else split_primes(p, bound=args.l_max)
-    writer = csv.writer(sys.stdout) if cfg.format == "csv" else None
-    if writer is not None:
-        writer.writerow(["l", "f", "R"])
     distinct: set[tuple[int, ...]] = set()
-    for tp in trace_stream(p, ls, method=method, cache=cache):
+
+    def text(tp: TracePolynomial) -> str:
         distinct.add(tp.coeffs)
-        if cfg.format == "json":
-            print(tp.to_json())
-        elif writer is not None:
-            writer.writerow([tp.l, tp.residue_degree, tp.render()])
-        else:
-            print(f"el={tp.l} f={tp.residue_degree} R={tp.render()}")
+        return f"el={tp.l} f={tp.residue_degree} R={tp.render()}"
+
+    _emit(cfg, TracePolynomial.CSV_HEADER, trace_stream(p, ls, method=method, cache=cache), text)
     if args.l is None and cfg.format == "text":
         print(f"p={p} distinct={len(distinct)}")
     return 0
 
 
-def _symbol_worker(task: tuple[int, int, int, int | None]) -> "object":
-    p, l, n, c = task
-    return classify_for(p, l, n, c=c)
+def _symbol_text(rep: SymbolReport) -> str:
+    return "\n".join([f"p={rep.p} el={rep.l} v={rep.v} u={rep.u}", *rep.lines()])
 
 
 def cmd_symbol(args: argparse.Namespace, cfg: RunConfig) -> int:
     p, n = args.p, args.n
     if not is_prime(p) or p < 5:
         raise ValueError(f"p={p} is not a prime >= 5")
-    if n % 2 != 0 or not 2 <= n <= p - 3:
-        raise ValueError(f"n={n} must be even and within [2, {p - 3}]")
+    _check_exponent(p, n)
     if args.l is None and args.l_max is None:
         raise ValueError("symbol needs --l or --l-max")
     cache = _open_cache(cfg, "symbols.jsonl", SymbolCache)
-    ls = [args.l] if args.l is not None else list(split_primes(p, bound=args.l_max))
+    ls = [args.l] if args.l is not None else split_primes(p, bound=args.l_max)
     if cfg.format == "text":
         print(f"p={p} n={n}")
-    writer = csv.writer(sys.stdout) if cfg.format == "csv" else None
-    if writer is not None:
-        writer.writerow(["p", "n", "l", "v", "s", "u", "classification"])
-    pool = Pool(cfg.exact_jobs) if cfg.exact_jobs > 1 and len(ls) > 1 else None
-    try:
-        pending = [(p, l, n, args.c) for l in ls
-                   if cache is None or cache.get(p, n, l) is None]
-        fresh = iter(pool.imap(_symbol_worker, pending) if pool is not None
-                     else map(_symbol_worker, pending))
-        for l in ls:
-            rep = cache.get(p, n, l) if cache is not None else None
-            if rep is None:
-                rep = next(fresh)
-                if cache is not None:
-                    cache.put(rep)
-            if cfg.format == "json":
-                print(rep.to_json())
-            elif writer is not None:
-                writer.writerow([rep.p, rep.n, rep.l, rep.v, rep.s, rep.u,
-                                 rep.classification])
-            else:
-                print(f"p={rep.p} el={rep.l} v={rep.v} u={rep.u}")
-                for line in rep.lines():
-                    print(line)
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
+    keys = (symbol_key(p, n, l, args.c) for l in ls)
+    jobs = cfg.exact_jobs if args.l is None else 1  # no pool for a single row
+    _emit(cfg, SymbolReport.CSV_HEADER,
+          ordered_map(symbol_report, keys, jobs, cache), _symbol_text)
     return 0
 
 

@@ -32,6 +32,8 @@ class CycModP:
     __slots__ = ("p", "coeffs")
 
     def __init__(self, p: int, coeffs) -> None:
+        if p >= 1 << 21:  # the int64 bound of __mul__
+            raise ValueError(f"p={p} is not below 2**21, the int64 bound of products")
         arr = np.asarray(coeffs, dtype=np.int64)
         if arr.ndim != 1:
             raise ValueError("coefficients must be a vector")

@@ -128,7 +128,7 @@ def split_primes(p: int, bound: int | None = None, count: int | None = None):
     bound caps the value of l, count caps how many primes are yielded;
     either may be None for an endless stream.
     """
-    if p < 3 or p % 2 == 0:
+    if p < 3 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     emitted = 0
     i = 1

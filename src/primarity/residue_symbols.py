@@ -17,13 +17,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
+from operator import attrgetter
 
 import numpy as np
 
 from .cycring import CycModP
 from .jacobi import TwistContext, _check_exponent
-from .modarith import is_prime
+from .modarith import is_prime, primitive_root
+from .records import JsonlStore
 
 DEFAULT_MEMORY_LIMIT = 1 << 30  # bytes of coefficient storage
 
@@ -204,12 +205,20 @@ class SymbolReport:
     p: int
     n: int
     l: int
+    c: int
+    g: int
     v: int
     s: int | None
     u: int
     local_at_p: bool
     local_at_l: bool
     classification: str
+
+    CSV_HEADER = ("p", "n", "l", "v", "s", "u", "classification")
+    key = property(attrgetter("p", "n", "l", "c", "g"))
+
+    def row(self) -> list:
+        return [self.p, self.n, self.l, self.v, self.s, self.u, self.classification]
 
     def lines(self) -> list[str]:
         """The human-readable verdict lines, strongest last."""
@@ -226,18 +235,27 @@ class SymbolReport:
 
     def to_json(self) -> str:
         return json.dumps(
-            {"p": self.p, "n": self.n, "l": self.l, "v": self.v,
-             "s": self.s, "u": self.u, "classification": self.classification}
+            {"p": self.p, "n": self.n, "l": self.l, "c": self.c, "g": self.g,
+             "v": self.v, "s": self.s, "u": self.u,
+             "classification": self.classification}
         )
 
     @classmethod
     def from_json(cls, line: str) -> "SymbolReport":
         d = json.loads(line)
-        return build_report(p=d["p"], n=d["n"], l=d["l"],
+        return build_report(p=d["p"], n=d["n"], l=d["l"], c=d["c"], g=d["g"],
                             v=d["v"], s=d["s"], u=d["u"])
 
 
-def build_report(p: int, n: int, l: int, v: int, s: int | None, u: int) -> SymbolReport:
+def symbol_key(p: int, n: int, l: int, c: int | None = None,
+               g: int | None = None) -> tuple[int, int, int, int, int]:
+    """(p, n, l, c, g), with c and g defaulting as in TwistContext.build."""
+    return (p, n, l, primitive_root(p) if c is None else c,
+            primitive_root(l) if g is None else g)
+
+
+def build_report(p: int, n: int, l: int, v: int, s: int | None, u: int,
+                 c: int | None = None, g: int | None = None) -> SymbolReport:
     """Derive the classification from the measured invariants."""
     local_at_p = s != 0  # includes S_n = 1 exactly (s is None)
     local_at_l = v % p == 0 and u == 1
@@ -249,8 +267,9 @@ def build_report(p: int, n: int, l: int, v: int, s: int | None, u: int) -> Symbo
         cls = "local_at_l"
     else:
         cls = "non_local_at_l"
+    p, n, l, c, g = symbol_key(p, n, l, c, g)
     return SymbolReport(
-        p=p, n=n, l=l, v=v, s=s, u=u,
+        p=p, n=n, l=l, c=c, g=g, v=v, s=s, u=u,
         local_at_p=local_at_p, local_at_l=local_at_l, classification=cls,
     )
 
@@ -261,7 +280,7 @@ def classify(ctx: TwistContext, n: int, limit: int | None = DEFAULT_MEMORY_LIMIT
     s = min_p_valuation(S.minus_one(), ctx.p)
     v, reduced = l_content(S, ctx.l)
     u = residue_symbol(reduced, ctx.l, ctx.g)
-    return build_report(p=ctx.p, n=n, l=ctx.l, v=v, s=s, u=u)
+    return build_report(p=ctx.p, n=n, l=ctx.l, c=ctx.c, g=ctx.g, v=v, s=s, u=u)
 
 
 def classify_for(
@@ -273,33 +292,20 @@ def classify_for(
     return classify(TwistContext.build(p, l, c=c, g=g), n, limit=limit)
 
 
-class SymbolCache:
-    """Append-only JSON-lines store of symbol reports keyed by (p, n, l)."""
+def symbol_report(key: tuple[int, int, int, int, int]) -> SymbolReport:
+    """Worker body: the report a SymbolCache stores under key."""
+    p, n, l, c, g = key
+    return classify_for(p, l, n, c=c, g=g)
 
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self._mem: dict[tuple[int, int, int], SymbolReport] = {}
-        if self.path.exists():
-            with open(self.path, encoding="ascii") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if line:
-                        rep = SymbolReport.from_json(line)
-                        self._mem[(rep.p, rep.n, rep.l)] = rep
 
-    def __len__(self) -> int:
-        return len(self._mem)
+class SymbolCache(JsonlStore):
+    """Symbol reports keyed by (p, n, l, c, g)."""
 
-    def get(self, p: int, n: int, l: int) -> SymbolReport | None:
-        return self._mem.get((p, n, l))
+    record = SymbolReport
 
-    def put(self, rep: SymbolReport) -> None:
-        if (rep.p, rep.n, rep.l) in self._mem:
-            return
-        self._mem[(rep.p, rep.n, rep.l)] = rep
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="ascii") as fh:
-            fh.write(rep.to_json() + "\n")
+    def get(self, p: int, n: int, l: int, c: int | None = None,
+            g: int | None = None) -> SymbolReport | None:
+        return super().get(*symbol_key(p, n, l, c, g))
 
 
 def _crt_primes(p: int, need_bits: int):

@@ -17,10 +17,10 @@ integer power sums of the periods and then Newton's identities.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -34,6 +34,7 @@ from .modarith import (
     primitive_root,
     split_primes,
 )
+from .records import JsonlStore, ordered_map, write_csv
 
 
 class RankAccumulator:
@@ -113,14 +114,16 @@ def conjugate_rank(p: int, l: int, c: int | None = None) -> int:
     return acc.rank
 
 
-def export_rank_csv(p: int, history: Iterable[tuple[int, int]], path: str | Path) -> None:
+def write_rank_csv(p: int, history: Iterable[tuple[int, int]], fh) -> None:
     """Rank history as CSV; the ratio column l / (p**2 log p**2) is derived."""
     scale = p * p * math.log(p * p)
+    write_csv(fh, ("l", "rank", "ratio"), ([l, r, f"{l / scale:.4f}"] for l, r in history))
+
+
+def export_rank_csv(p: int, history: Iterable[tuple[int, int]], path: str | Path) -> None:
+    """Rank history as a CSV file, as write_rank_csv writes it."""
     with open(path, "w", newline="", encoding="ascii") as fh:
-        w = csv.writer(fh)
-        w.writerow(["l", "rank", "ratio"])
-        for l, r in history:
-            w.writerow([l, r, f"{l / scale:.4f}"])
+        write_rank_csv(p, history, fh)
 
 
 @dataclass(frozen=True)
@@ -141,8 +144,14 @@ class TracePolynomial:
             # prod(x - eta_b) is monic and sum(eta_b) = -1
             raise ValueError("trace polynomial must start x^p + x^(p-1)")
 
+    CSV_HEADER = ("l", "f", "R")
+    key = property(attrgetter("p", "l"))
+
     def render(self) -> str:
         return render_poly(list(self.coeffs))
+
+    def row(self) -> list:
+        return [self.l, self.residue_degree, self.render()]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -275,33 +284,10 @@ def trace_polynomial(p: int, l: int, method: str = "dense") -> TracePolynomial:
     )
 
 
-class TraceCatalog:
-    """Append-only JSON-lines store of trace polynomials keyed by (p, l)."""
+class TraceCatalog(JsonlStore):
+    """Trace polynomials keyed by (p, l); both routes give the same record."""
 
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self._mem: dict[tuple[int, int], TracePolynomial] = {}
-        if self.path.exists():
-            with open(self.path, encoding="ascii") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if line:
-                        tp = TracePolynomial.from_json(line)
-                        self._mem[(tp.p, tp.l)] = tp
-
-    def __len__(self) -> int:
-        return len(self._mem)
-
-    def get(self, p: int, l: int) -> TracePolynomial | None:
-        return self._mem.get((p, l))
-
-    def put(self, tp: TracePolynomial) -> None:
-        if (tp.p, tp.l) in self._mem:
-            return
-        self._mem[(tp.p, tp.l)] = tp
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="ascii") as fh:
-            fh.write(tp.to_json() + "\n")
+    record = TracePolynomial
 
 
 def trace_stream(
@@ -311,13 +297,8 @@ def trace_stream(
     cache: TraceCatalog | None = None,
 ) -> Iterator[TracePolynomial]:
     """One TracePolynomial per l, replaying cached entries verbatim."""
-    for l in ls:
-        tp = cache.get(p, l) if cache is not None else None
-        if tp is None:
-            tp = trace_polynomial(p, l, method=method)
-            if cache is not None:
-                cache.put(tp)
-        yield tp
+    return ordered_map(lambda key: trace_polynomial(*key, method=method),
+                       ((p, l) for l in ls), store=cache)
 
 
 def distinct_trace_count(

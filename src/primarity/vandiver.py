@@ -8,27 +8,27 @@ produce a CriterionVerdict; a scan that exhausts its budget first reports
 the criterion as not established rather than failed.
 
 Long scans persist per-pair results as append-only JSON lines keyed by
-(p, l, c, g) so interrupted runs resume without recomputation, and workers
+(p, l, c, g) so interrupted runs resume without recomputation.  Pairs are
+computed only when the stream reaches them, at most `jobs` at a time, and
 fold back into stream order so results never depend on the job count.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import time
-from dataclasses import dataclass
-from multiprocessing import Pool
+from dataclasses import asdict, dataclass
+from itertools import islice
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from .bernoulli import irregularity_report
 from .jacobi import ExponentSet, exponent_set_for
 from .modarith import primitive_root, split_primes
+from .records import JsonlStore, ordered_map, write_csv
 
 DEFAULT_MAX_STEPS = 64
-
-_CHUNK = 8  # split primes resolved per pool round; keeps streaming latency low
 
 
 @dataclass(frozen=True)
@@ -42,50 +42,35 @@ class ScanRecord:
     expp: tuple[int, ...]
     ms: int
 
+    CSV_HEADER = ("p", "l", "c", "g", "expp", "ms")
+    key = property(attrgetter("p", "l", "c", "g"))
+
     def exponent_set(self) -> ExponentSet:
         return ExponentSet(self.p, self.expp)
 
+    def row(self) -> list:
+        return [self.p, self.l, self.c, self.g, ",".join(str(n) for n in self.expp), self.ms]
+
     def to_json(self) -> str:
-        return json.dumps(
-            {"p": self.p, "l": self.l, "c": self.c, "g": self.g,
-             "expp": list(self.expp), "ms": self.ms}
-        )
+        return json.dumps(asdict(self))
 
     @classmethod
     def from_json(cls, line: str) -> "ScanRecord":
         d = json.loads(line)
-        return cls(p=d["p"], l=d["l"], c=d["c"], g=d["g"],
-                   expp=tuple(d["expp"]), ms=d["ms"])
+        return cls(**{**d, "expp": tuple(d["expp"])})
 
 
-class ScanCache:
-    """Append-only JSON-lines store of scan records."""
+class ScanCache(JsonlStore):
+    """Scan records keyed by (p, l, c, g)."""
 
+    record = ScanRecord
+
+    # perfbench/tracing.py times loading and appending by these two names
     def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self._mem: dict[tuple[int, int, int, int], ScanRecord] = {}
-        if self.path.exists():
-            with open(self.path, encoding="ascii") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if line:
-                        rec = ScanRecord.from_json(line)
-                        self._mem[(rec.p, rec.l, rec.c, rec.g)] = rec
-
-    def __len__(self) -> int:
-        return len(self._mem)
-
-    def get(self, p: int, l: int, c: int, g: int) -> ScanRecord | None:
-        return self._mem.get((p, l, c, g))
+        super().__init__(path)
 
     def put(self, rec: ScanRecord) -> None:
-        key = (rec.p, rec.l, rec.c, rec.g)
-        if key in self._mem:
-            return
-        self._mem[key] = rec
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="ascii") as fh:
-            fh.write(rec.to_json() + "\n")
+        super().put(rec)
 
 
 def _pair_record(args: tuple[int, int, int, int]) -> ScanRecord:
@@ -106,43 +91,13 @@ def scan_pairs(
 ) -> Iterator[ScanRecord]:
     """Yield one ScanRecord per l, in the order the stream supplies them.
 
-    Cached pairs are replayed verbatim; missing ones are computed, with
-    jobs > 1 fanning chunks out to a process pool.  The fold back into
-    stream order makes the output independent of the job count.
+    Cached pairs are replayed verbatim; missing ones are computed when the
+    stream reaches them, with jobs > 1 fanning them out to a process pool.
     """
     if c is None:
         c = primitive_root(p)
-    pool = Pool(jobs) if jobs > 1 else None
-    try:
-        it = iter(ls)
-        while True:
-            chunk = []
-            for l in it:
-                chunk.append((l, primitive_root(l)))
-                if len(chunk) >= _CHUNK * max(jobs, 1):
-                    break
-            if not chunk:
-                return
-            pending = [
-                (p, l, c, g)
-                for l, g in chunk
-                if cache is None or cache.get(p, l, c, g) is None
-            ]
-            if pool is not None:
-                fresh = iter(pool.map(_pair_record, pending))
-            else:
-                fresh = iter([_pair_record(a) for a in pending])
-            for l, g in chunk:
-                rec = cache.get(p, l, c, g) if cache is not None else None
-                if rec is None:
-                    rec = next(fresh)
-                    if cache is not None:
-                        cache.put(rec)
-                yield rec
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
+    keys = ((p, l, c, primitive_root(l)) for l in ls)
+    yield from ordered_map(_pair_record, keys, jobs, cache)
 
 
 @dataclass(frozen=True)
@@ -166,8 +121,14 @@ class CriterionVerdict:
         if self.holds and not self.witnesses:
             raise ValueError("verdict holds without witnesses")
 
+    CSV_HEADER = ("p", "mode", "holds", "steps", "witnesses", "intersection")
+
     def status(self) -> str:
         return "established" if self.holds else "not established"
+
+    def row(self) -> list:
+        return [self.p, self.mode, self.holds, self.steps,
+                ",".join(str(l) for l in self.witnesses), self.intersection.render()]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -234,7 +195,7 @@ def criterion_b(
         stream = split_primes(p)
     witnesses: list[int] = []
     inter: ExponentSet | None = None
-    for rec in scan_pairs(p, _take(stream, max_steps), c=c, jobs=jobs, cache=cache):
+    for rec in scan_pairs(p, islice(stream, max_steps), c=c, jobs=jobs, cache=cache):
         witnesses.append(rec.l)
         es = rec.exponent_set()
         inter = es if inter is None else inter.intersection(es)
@@ -258,13 +219,6 @@ def criterion_b(
         steps=len(witnesses),
         undetermined=True,
     )
-
-
-def _take(stream: Iterable[int], n: int) -> Iterator[int]:
-    for i, v in enumerate(stream):
-        if i >= n:
-            return
-        yield v
 
 
 def minimal_empty_l(
@@ -352,8 +306,4 @@ def density_scan(
 def export_scan_csv(records: Iterable[ScanRecord], path: str | Path) -> None:
     """Write scan records as CSV with the exponent set comma-joined."""
     with open(path, "w", newline="", encoding="ascii") as fh:
-        w = csv.writer(fh)
-        w.writerow(["p", "l", "c", "g", "expp", "ms"])
-        for rec in records:
-            w.writerow([rec.p, rec.l, rec.c, rec.g,
-                        ",".join(str(n) for n in rec.expp), rec.ms])
+        write_csv(fh, ScanRecord.CSV_HEADER, (rec.row() for rec in records))

@@ -1,6 +1,9 @@
 """Command line surface: formats, precedence, caches, exit codes."""
 
 import json
+import re
+
+import pytest
 
 from primarity.cli import main
 
@@ -149,7 +152,7 @@ def test_symbol_json(capsys):
                      "--format", "json")
     assert rc == 0
     assert json.loads(out) == {
-        "p": 37, "n": 32, "l": 149, "v": 259, "s": 0, "u": 102,
+        "p": 37, "n": 32, "l": 149, "c": 2, "g": 2, "v": 259, "s": 0, "u": 102,
         "classification": "non_local_at_l",
     }
 
@@ -179,6 +182,13 @@ def test_jobs_do_not_change_bytes(tmp_path, capsys):
     rc, seq, _ = run(capsys, "scan", "--p", "37", "--count", "12")
     assert rc == 0
     rc, par, _ = run(capsys, "scan", "--p", "37", "--count", "12", "--jobs", "4")
+    assert rc == 0
+    assert par == seq
+    symbol = ("symbol", "--p", "37", "--n", "32", "--l-max", "223")
+    rc, seq, _ = run(capsys, *symbol)
+    assert rc == 0
+    assert seq.count(" el=") == 2
+    rc, par, _ = run(capsys, *symbol, "--exact-jobs", "2")
     assert rc == 0
     assert par == seq
 
@@ -237,3 +247,100 @@ def test_symbol_cache_round_trip(tmp_path, capsys):
     assert rc == 0
     assert second == first
     assert (tmp_path / "symbols.jsonl").stat().st_size > 0
+
+
+def _mask_ms(out):
+    """Zero the per-pair timing, the only field of a scan row that varies."""
+    return re.sub(r",\d+\r\n", ",0\r\n", re.sub(r'"ms": \d+', '"ms": 0', out))
+
+
+@pytest.mark.parametrize("argv,want", [
+    (("scan", "--p", "13", "--count", "6", "--format", "json"),
+     '{"p": 13, "l": 53, "c": 2, "g": 2, "expp": [], "ms": 0}\n'
+     '{"p": 13, "l": 79, "c": 2, "g": 3, "expp": [], "ms": 0}\n'
+     '{"p": 13, "l": 131, "c": 2, "g": 2, "expp": [4, 6], "ms": 0}\n'
+     '{"p": 13, "l": 157, "c": 2, "g": 5, "expp": [], "ms": 0}\n'
+     '{"p": 13, "l": 313, "c": 2, "g": 10, "expp": [], "ms": 0}\n'
+     '{"p": 13, "l": 443, "c": 2, "g": 2, "expp": [4], "ms": 0}\n'),
+    (("scan", "--p", "13", "--count", "6", "--format", "csv"),
+     'p,l,c,g,expp,ms\r\n13,53,2,2,,0\r\n13,79,2,3,,0\r\n13,131,2,2,"4,6",0\r\n'
+     '13,157,2,5,,0\r\n13,313,2,10,,0\r\n13,443,2,2,4,0\r\n'),
+    (("expp", "--p", "53", "--l", "107", "--format", "csv"),
+     'p,l,c,g,expp,ms\r\n53,107,2,2,"10,34",0\r\n'),
+    (("expp", "--p", "5", "--p-max", "7", "--count", "2", "--format", "csv"),
+     'p,l,c,g,expp,ms\r\n5,11,2,2,,0\r\n5,31,2,3,,0\r\n7,29,3,2,,0\r\n7,43,3,3,,0\r\n'),
+    (("trace", "--p", "3", "--l-max", "40", "--format", "json"),
+     '{"p": 3, "l": 7, "f": 3, "R": [2, 1, 1, 1]}\n'
+     '{"p": 3, "l": 13, "f": 3, "R": [1, 2, 1, 1]}\n'
+     '{"p": 3, "l": 19, "f": 3, "R": [2, 0, 1, 1]}\n'
+     '{"p": 3, "l": 31, "f": 3, "R": [1, 2, 1, 1]}\n'
+     '{"p": 3, "l": 37, "f": 3, "R": [2, 0, 1, 1]}\n'),
+    (("trace", "--p", "3", "--l-max", "40", "--format", "csv"),
+     'l,f,R\r\n7,3,x^3 + x^2 + x + 2\r\n13,3,x^3 + x^2 + 2*x + 1\r\n19,3,x^3 + x^2 + 2\r\n'
+     '31,3,x^3 + x^2 + 2*x + 1\r\n37,3,x^3 + x^2 + 2\r\n'),
+    (("rank", "--p", "7", "--format", "json"),
+     '{"p": 7, "r": 3, "elp": 113, "history": [[29, 1], [43, 2], [71, 2], [113, 3]]}\n'),
+    (("symbol", "--p", "37", "--n", "32", "--l-max", "223", "--format", "csv"),
+     'p,n,l,v,s,u,classification\r\n37,32,149,259,0,102,non_local_at_l\r\n'
+     '37,32,223,259,0,132,non_local_at_l\r\n'),
+    (("vandiver", "--p", "11", "--p-max", "13", "--mode", "a", "--format", "csv"),
+     'p,mode,holds,steps,witnesses,intersection\r\n11,a,True,1,23,\r\n13,a,True,1,53,\r\n'),
+])
+def test_machine_formats_are_byte_exact(capsys, argv, want):
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    assert _mask_ms(out) == want
+
+
+@pytest.mark.parametrize("argv,name", [
+    (("expp", "--p", "11", "--count", "3"), "scan.jsonl"),
+    (("trace", "--p", "3", "--l-max", "40"), "trace.jsonl"),
+    (("symbol", "--p", "37", "--n", "32", "--l-max", "223"), "symbols.jsonl"),
+])
+def test_torn_last_line_is_recomputed_on_resume(tmp_path, capsys, argv, name):
+    args = (*argv, "--cache-dir", str(tmp_path))
+    rc, cold, _ = run(capsys, *args)
+    assert rc == 0
+    path = tmp_path / name
+    lines = path.read_bytes().splitlines(keepends=True)
+    # a kill in the middle of the last append leaves half a line behind
+    path.write_bytes(b"".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2])
+    rc, warm, _ = run(capsys, *args, "--resume")
+    assert rc == 0
+    assert warm == cold
+    stored = path.read_text().splitlines()
+    assert len(stored) == len(lines)
+    assert all(json.loads(line) for line in stored)
+
+
+def test_corrupt_middle_line_names_path_and_line(tmp_path, capsys):
+    args = ("expp", "--p", "11", "--count", "3", "--cache-dir", str(tmp_path))
+    run(capsys, *args)
+    path = tmp_path / "scan.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1] = lines[1][:10] + "\n"
+    path.write_text("".join(lines))
+    rc, out, err = run(capsys, *args, "--resume")
+    assert rc == 2
+    assert out == ""
+    assert "scan.jsonl:2" in err
+
+
+def test_symbol_line_without_c_and_g_names_path_and_line(tmp_path, capsys):
+    (tmp_path / "symbols.jsonl").write_text(json.dumps(
+        {"p": 37, "n": 32, "l": 149, "v": 259, "s": 0, "u": 102,
+         "classification": "non_local_at_l"}) + "\n")
+    rc, out, err = run(capsys, "symbol", "--p", "37", "--n", "32", "--l", "149",
+                       "--cache-dir", str(tmp_path), "--resume")
+    assert rc == 2
+    assert out == ""
+    assert "symbols.jsonl:1" in err
+
+
+def test_symbol_resume_with_another_twist_recomputes(tmp_path, capsys):
+    args = ("symbol", "--p", "37", "--n", "32", "--l", "149", "--cache-dir", str(tmp_path))
+    rc, _, _ = run(capsys, *args)
+    assert rc == 0
+    rc, out, _ = run(capsys, *args, "--c", "5", "--resume")
+    assert rc == 0
+    assert out == "p=37 n=32\np=37 el=149 v=1073 u=28\nSn NON local pth power at L\n"

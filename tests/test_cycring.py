@@ -111,3 +111,9 @@ def test_render_poly_descending_pari_style():
     assert render_poly([0]) == "0"
     assert render_poly([2, 1]) == "x + 2"
     assert CycModP(5, [1, 0, 3, 0]).render() == "3*x^2 + 1"
+
+
+def test_constructor_refuses_p_at_the_int64_bound():
+    assert CycModP.one((1 << 21) - 1).is_one()
+    with pytest.raises(ValueError, match="int64"):
+        CycModP(1 << 21, [1])

@@ -105,3 +105,9 @@ def test_log_table_arrays_are_read_only():
     with pytest.raises(ValueError):
         t.powers[0] = 9
     assert isinstance(t.dlog, np.ndarray)
+
+
+@pytest.mark.parametrize("p", [9, 15, 91])
+def test_split_primes_rejects_composite_p(p):
+    with pytest.raises(ValueError, match="odd prime"):
+        list(split_primes(p, count=3))

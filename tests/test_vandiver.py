@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from primarity import vandiver
 from primarity.jacobi import ExponentSet, exponent_set_for
 from primarity.modarith import split_primes
 from primarity.vandiver import (
@@ -262,3 +263,17 @@ def test_export_scan_csv(tmp_path):
         "11,23,2,5,2,1",
         "11,67,2,2,,2",
     ]
+
+
+@pytest.mark.parametrize("p", [11, 37])
+def test_criterion_b_computes_only_the_sets_it_uses(monkeypatch, p):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[:2])
+        return exponent_set_for(*args, **kwargs)
+
+    monkeypatch.setattr(vandiver, "exponent_set_for", counted)
+    verdict = criterion_b(p)
+    assert verdict.holds
+    assert calls == [(p, l) for l in verdict.witnesses]
