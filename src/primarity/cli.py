@@ -12,9 +12,12 @@ PRIMARITY_EXACT_JOBS, PRIMARITY_CACHE_DIR, PRIMARITY_FORMAT.
 
 Exit codes: 0 success (criterion established where one was asked), 2
 invalid input or resource refusal, 3 criterion undetermined at the given
-bounds, 4 I/O failure.  Caches are JSON-lines files under --cache-dir;
-loading an existing cache requires --resume, which replays cached records
-verbatim and makes reruns byte-identical.
+bounds, 4 I/O failure.  Input rejected on the first record leaves stdout
+empty, but for the title line of symbol's text output.  Caches are
+JSON-lines files under --cache-dir; loading an existing cache requires
+--resume, which replays cached records verbatim and makes reruns
+byte-identical.  trace computes every R_l, a single --l included, by the
+cyclotomic-number route of spectra.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterator
 
@@ -120,7 +123,13 @@ def _l_stream(args: argparse.Namespace, p: int):
 
 
 def _emit(cfg: RunConfig, header: tuple[str, ...], records, text=None) -> None:
-    """Print records as text lines, JSON lines, or CSV rows under header."""
+    """Print records as text lines, JSON lines, or CSV rows under header.
+
+    The first record is computed before anything is printed, so input
+    rejected on the first record leaves stdout empty.
+    """
+    records = iter(records)
+    records = chain(list(islice(records, 1)), records)
     if cfg.format == "csv":
         write_csv(sys.stdout, header, (rec.row() for rec in records))
         return
@@ -151,9 +160,9 @@ def cmd_vandiver(args: argparse.Namespace, cfg: RunConfig) -> int:
             if args.mode == "a":
                 verdict = criterion_a(p, l=args.l, c=args.c)
             else:
+                steps = DEFAULT_MAX_STEPS if args.count is None else args.count
                 verdict = criterion_b(p, stream=split_primes(p, bound=args.l_max),
-                                      max_steps=args.count or DEFAULT_MAX_STEPS,
-                                      c=args.c, jobs=cfg.jobs, cache=cache)
+                                      max_steps=steps, c=args.c, jobs=cfg.jobs, cache=cache)
             if not verdict.holds:
                 unmet.append(p)
             yield verdict
@@ -203,13 +212,9 @@ def cmd_rank(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_trace(args: argparse.Namespace, cfg: RunConfig) -> int:
     p = args.p
-    if not is_prime(p) or p < 3:
-        raise ValueError(f"p={p} is not an odd prime")
     if args.l is None and args.l_max is None:
         raise ValueError("trace needs --l or --l-max")
     cache = _open_cache(cfg, "trace.jsonl", TraceCatalog)
-    # dense is the reference for single pairs; ranges use the O(l) route
-    method = args.mode or ("dense" if args.l is not None else "fast")
     ls = [args.l] if args.l is not None else split_primes(p, bound=args.l_max)
     distinct: set[tuple[int, ...]] = set()
 
@@ -217,7 +222,7 @@ def cmd_trace(args: argparse.Namespace, cfg: RunConfig) -> int:
         distinct.add(tp.coeffs)
         return f"el={tp.l} f={tp.residue_degree} R={tp.render()}"
 
-    _emit(cfg, TracePolynomial.CSV_HEADER, trace_stream(p, ls, method=method, cache=cache), text)
+    _emit(cfg, TracePolynomial.CSV_HEADER, trace_stream(p, ls, cache=cache), text)
     if args.l is None and cfg.format == "text":
         print(f"p={p} distinct={len(distinct)}")
     return 0
@@ -293,8 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_rank)
 
     sp = sub.add_parser("trace", help="Gaussian period trace polynomials")
-    sp.add_argument("--mode", choices=("dense", "fast"),
-                    help="route (default: dense for --l, fast for --l-max)")
     _add_flags(sp, "p", "l", "l-max", "cache-dir", "format", "resume")
     sp.set_defaults(func=cmd_trace)
 

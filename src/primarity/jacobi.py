@@ -8,7 +8,10 @@ into ring arithmetic, and the components
     S_n = prod_{a=1}^{(p-1)/2} sigma_a(J**(a**(n-1) mod p))
 
 decide p-primarity: n is recorded exactly when S_n = 1.  All of this lives
-in F_p[x]/Phi_p(x) via cycring.
+in F_p[x]/Phi_p(x) via cycring.  Every J_i, exact ones included, is read
+off one table of cyclotomic numbers N[d][m] = #{y in C_d : 1 + y in C_m},
+C_d the coset of g**d modulo pth powers, counted once per pair; spectra
+builds trace polynomials from the same table.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cycring import CycModP, reduce_mod_phi
+from .cycring import CycModP
 from .modarith import LogTable, build_log_table, is_prime, multiplicative_order, primitive_root
 
 
@@ -53,6 +56,30 @@ class ExponentSet:
         return ",".join(str(n) for n in self.members)
 
 
+def check_pair(p: int, l: int) -> None:
+    """Raise ValueError unless p is an odd prime and l a prime with l = 1 (mod p)."""
+    if not is_prime(p) or p < 3:
+        raise ValueError(f"p={p} is not an odd prime")
+    if not is_prime(l):
+        raise ValueError(f"l={l} is not prime")
+    if l % p != 1:
+        raise ValueError(f"l={l} does not split: l % p = {l % p}")
+
+
+def cyclotomic_numbers(logs: LogTable, p: int) -> np.ndarray:
+    """N[d][m] = #{y in C_d : 1 + y in C_m} mod l = logs.modulus, read-only.
+
+    log(-1) = (l-1)/2 = ip puts -1 in C_0, so N also counts 1 - y in C_m:
+    one gather of log(1 - g**k), reshaped so column d holds k = d (mod p).
+    """
+    m = logs.dlog[(1 - logs.powers) % logs.modulus] % p
+    cells = m.reshape(-1, p) + p * np.arange(p)
+    N = np.bincount(cells.ravel(), minlength=p * p).reshape(p, p)
+    N[0, m[0]] -= 1  # k = 0 gives 1 - 1 = 0, which lies in no coset
+    N.setflags(write=False)
+    return N
+
+
 @dataclass(frozen=True)
 class TwistContext:
     """Everything fixed while one prime pair (p, l) is analyzed."""
@@ -61,17 +88,12 @@ class TwistContext:
     l: int
     c: int
     g: int
-    logs: LogTable
+    cyclotomic: np.ndarray  # cyclotomic_numbers(...) for the root g
 
     @classmethod
     def build(cls, p: int, l: int, c: int | None = None, g: int | None = None) -> "TwistContext":
-        """Validate the pair and precompute the dense log table mod l."""
-        if not is_prime(p) or p < 3:
-            raise ValueError(f"p={p} is not an odd prime")
-        if not is_prime(l):
-            raise ValueError(f"l={l} is not prime")
-        if l % p != 1:
-            raise ValueError(f"l={l} does not split: l % p = {l % p}")
+        """Validate the pair and count its cyclotomic numbers."""
+        check_pair(p, l)
         if c is None:
             c = primitive_root(p)
         # p=3 has no primitive root below p-1; its exponent range is empty anyway
@@ -81,19 +103,27 @@ class TwistContext:
             raise ValueError(f"c={c} is not a primitive root mod {p}")
         if g is None:
             g = primitive_root(l)
-        return cls(p=p, l=l, c=c, g=g, logs=build_log_table(l, g))
+        return cls(p=p, l=l, c=c, g=g,
+                   cyclotomic=cyclotomic_numbers(build_log_table(l, g), p))
+
+
+def jacobi_counts(ctx: TwistContext, i: int) -> np.ndarray:
+    """Exact counts t with J_i = -sum_e t[e] x**e, e in [0, p), read off N.
+
+    The term y = g**k of J_i with y in C_d and 1 - y in C_m has exponent
+    log(1 - y) + i*k = m + i*d (mod p).
+    """
+    p = ctx.p
+    if not 1 <= i <= p - 2:
+        raise ValueError(f"i={i} out of range [1, {p - 2}]")
+    r = np.arange(p)
+    # row d of the gather holds N[d][(e - i*d) % p] at column e
+    return np.take_along_axis(ctx.cyclotomic, (r - i * r[:, None]) % p, axis=1).sum(axis=0)
 
 
 def jacobi_sum(ctx: TwistContext, i: int) -> CycModP:
-    """J_i = -sum_{k=1}^{l-2} x**(log(1 - g**k) + i*k mod p), reduced."""
-    p, l = ctx.p, ctx.l
-    if not 1 <= i <= p - 2:
-        raise ValueError(f"i={i} out of range [1, {p - 2}]")
-    k = np.arange(1, l - 1, dtype=np.int64)
-    # i*k stays far below 2**63: i < p and k < l <= 2**26
-    e = (ctx.logs.dlog[(1 - ctx.logs.powers[1:]) % l] + i * k) % p
-    counts = np.bincount(e, minlength=p)
-    return CycModP(p, reduce_mod_phi((-counts) % p, p))
+    """J_i reduced into F_p[x]/Phi_p."""
+    return CycModP(ctx.p, -jacobi_counts(ctx, i))
 
 
 def twist_product(ctx: TwistContext) -> CycModP:

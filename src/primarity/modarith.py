@@ -129,18 +129,18 @@ def split_primes(p: int, bound: int | None = None, count: int | None = None):
     either may be None for an endless stream.
     """
     if p < 3 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+        raise ValueError(f"p={p} is not an odd prime")
+    if count is not None and count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
     emitted = 0
     i = 1
-    while True:
+    while count is None or emitted < count:
         l = 1 + 2 * i * p
         if bound is not None and l > bound:
             return
         if is_prime(l):
             yield l
             emitted += 1
-            if count is not None and emitted >= count:
-                return
         i += 1
 
 

@@ -22,7 +22,7 @@ from operator import attrgetter
 import numpy as np
 
 from .cycring import CycModP
-from .jacobi import TwistContext, _check_exponent
+from .jacobi import TwistContext, _check_exponent, jacobi_counts
 from .modarith import is_prime, primitive_root
 from .records import JsonlStore
 
@@ -107,13 +107,7 @@ class CycBigInt:
 
 def exact_jacobi_sum(ctx: TwistContext, i: int) -> CycBigInt:
     """J_i with exact integer coefficients (counts, not residues)."""
-    p, l = ctx.p, ctx.l
-    if not 1 <= i <= p - 2:
-        raise ValueError(f"i={i} out of range [1, {p - 2}]")
-    k = np.arange(1, l - 1, dtype=np.int64)
-    e = (ctx.logs.dlog[(1 - ctx.logs.powers[1:]) % l] + i * k) % p
-    counts = np.bincount(e, minlength=p)
-    return CycBigInt(p, [-int(v) for v in counts])
+    return CycBigInt(ctx.p, [-int(t) for t in jacobi_counts(ctx, i)])
 
 
 def exact_twist_product(ctx: TwistContext, limit: int | None = DEFAULT_MEMORY_LIMIT) -> CycBigInt:

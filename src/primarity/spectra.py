@@ -8,11 +8,12 @@ subfield of Q(zeta_l): R_l is the characteristic polynomial of the
 Gaussian periods over F_p, and the number of distinct R_l as l grows is
 the spectrum the heuristic probability speaks about.
 
-Two independent routes compute R_l.  The dense route multiplies out
-prod(x - eta_b) inside F_p[y]/Phi_l(y) and is the reference.  The fast
-route never touches degree l-1 arithmetic: one O(l) pass tallies the coset
-transition counts N[d][m] = #{y in C_d : 1 + y in C_m}, which drive exact
-integer power sums of the periods and then Newton's identities.
+R_l is computed from the cyclotomic numbers N[d][m] = #{y in C_d : 1 + y
+in C_m}, the same table behind every Jacobi sum (jacobi.cyclotomic_numbers):
+they drive exact integer power sums of the periods, and Newton's
+identities turn those into coefficients without any degree l-1
+arithmetic.  The dense route, which multiplies out prod(x - eta_b) inside
+F_p[y]/Phi_l(y), is kept as the reference the fast route is tested against.
 """
 
 from __future__ import annotations
@@ -27,13 +28,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .cycring import CycModP, render_poly
-from .jacobi import TwistContext, twist_product
-from .modarith import (
-    build_log_table,
-    multiplicative_order,
-    primitive_root,
-    split_primes,
-)
+from .jacobi import TwistContext, check_pair, cyclotomic_numbers, twist_product
+from .modarith import build_log_table, multiplicative_order, primitive_root, split_primes
 from .records import JsonlStore, ordered_map, write_csv
 
 
@@ -220,43 +216,22 @@ def _trace_dense(p: int, l: int) -> list[int]:
 def _trace_fast(p: int, l: int) -> list[int]:
     """Coset-count route: exact power sums of the periods, then Newton.
 
-    eta_i * eta_j expands through N[j-i][m] plus M when -1 lands in the
-    right coset, so powers of eta_0 stay in the redundant basis
+    eta_i * eta_j expands through N[j-i][m], plus M = (l-1)/p when i = j
+    because -1 lies in C_0, so powers of eta_0 stay in the redundant basis
     (constant, eta_0, ..., eta_(p-1)) with exact integer weights.
     """
-    table = build_log_table(l, primitive_root(l))
+    rows = cyclotomic_numbers(build_log_table(l, primitive_root(l)), p).tolist()
     M = (l - 1) // p
-    y = np.arange(1, l, dtype=np.int64)
-    d = table.dlog[y] % p
-    y1 = (1 + y) % l
-    nz = y1 != 0
-    m = table.dlog[y1[nz]] % p
-    N = np.zeros((p, p), dtype=np.int64)
-    np.add.at(N, (d[nz], m), 1)
-    coset_minus_one = int(table.dlog[l - 1] % p)
-
-    psums = {1: -1}  # sum of all periods is -1
-    cur_c = 0
-    cur_b = [0] * p
-    cur_b[0] = 1
-    for t in range(2, p + 1):
-        new_c = 0
-        new_b = [0] * p
-        if cur_c:
-            new_b[0] += cur_c
-        for i in range(p):
-            bi = cur_b[i]
-            if not bi:
-                continue
-            delta = (-i) % p
-            if coset_minus_one == delta:
-                new_c += bi * M
-            row = N[delta]
-            for mm in range(p):
-                if row[mm]:
-                    new_b[(i + mm) % p] += bi * int(row[mm])
-        cur_c, cur_b = new_c, new_b
-        psums[t] = p * cur_c - sum(cur_b)
+    psums = [None, -1]  # the periods sum to -1
+    cur_c, cur_b = 0, [1] + [0] * (p - 1)  # eta_0
+    for _ in range(2, p + 1):
+        new_b = [cur_c] + [0] * (p - 1)
+        for i, bi in enumerate(cur_b):
+            if bi:
+                for m, n in enumerate(rows[-i % p]):
+                    new_b[(i + m) % p] += bi * n
+        cur_c, cur_b = cur_b[0] * M, new_b
+        psums.append(p * cur_c - sum(cur_b))
 
     e = [1]
     for k in range(1, p + 1):
@@ -271,8 +246,12 @@ def _trace_fast(p: int, l: int) -> list[int]:
     return coeffs
 
 
-def trace_polynomial(p: int, l: int, method: str = "dense") -> TracePolynomial:
-    """R_l by the requested route; both routes agree everywhere."""
+def trace_polynomial(p: int, l: int, method: str = "fast") -> TracePolynomial:
+    """R_l for an odd prime p and a prime l = 1 (mod p).
+
+    method "dense" selects the reference route; both routes agree everywhere.
+    """
+    check_pair(p, l)
     if method == "dense":
         coeffs = _trace_dense(p, l)
     elif method == "fast":
@@ -285,27 +264,20 @@ def trace_polynomial(p: int, l: int, method: str = "dense") -> TracePolynomial:
 
 
 class TraceCatalog(JsonlStore):
-    """Trace polynomials keyed by (p, l); both routes give the same record."""
+    """Trace polynomials keyed by (p, l)."""
 
     record = TracePolynomial
 
 
 def trace_stream(
-    p: int,
-    ls: Iterable[int],
-    method: str = "fast",
-    cache: TraceCatalog | None = None,
+    p: int, ls: Iterable[int], cache: TraceCatalog | None = None
 ) -> Iterator[TracePolynomial]:
     """One TracePolynomial per l, replaying cached entries verbatim."""
-    return ordered_map(lambda key: trace_polynomial(*key, method=method),
-                       ((p, l) for l in ls), store=cache)
+    return ordered_map(lambda key: trace_polynomial(*key), ((p, l) for l in ls), store=cache)
 
 
 def distinct_trace_count(
-    p: int,
-    bound: int,
-    method: str = "fast",
-    cache: TraceCatalog | None = None,
+    p: int, bound: int, cache: TraceCatalog | None = None
 ) -> tuple[int, list[TracePolynomial]]:
     """Count distinct R_l over split primes l <= bound.
 
@@ -314,7 +286,7 @@ def distinct_trace_count(
     """
     seen: set[tuple[int, ...]] = set()
     firsts: list[TracePolynomial] = []
-    for tp in trace_stream(p, split_primes(p, bound=bound), method=method, cache=cache):
+    for tp in trace_stream(p, split_primes(p, bound=bound), cache=cache):
         if tp.coeffs not in seen:
             seen.add(tp.coeffs)
             firsts.append(tp)

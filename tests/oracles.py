@@ -46,6 +46,15 @@ def jacobi_charsum(p: int, l: int, g: int, i: int) -> list[int]:
     return [-(v - top) for v in vec[: p - 1]]
 
 
+def cyclotomic_numbers_naive(p: int, l: int, g: int) -> list[list[int]]:
+    """N[d][m] = #{y : log y = d, log(1 + y) = m (mod p)} by plain iteration."""
+    logs = dlog_map(l, g)
+    N = [[0] * p for _ in range(p)]
+    for y in range(1, l - 1):  # y = l - 1 has 1 + y = 0
+        N[logs[y] % p][logs[y + 1] % p] += 1
+    return N
+
+
 @lru_cache(maxsize=None)
 def bernoulli_frac(n: int) -> Fraction:
     """B_n by the defining recurrence sum C(n+1, j) B_j = 0."""

@@ -163,6 +163,35 @@ def test_invalid_p_is_a_usage_error(capsys):
     assert "not an odd prime" in err
 
 
+@pytest.mark.parametrize("command", ["expp", "vandiver"])
+def test_invalid_p_prints_no_csv_header(capsys, command):
+    rc, out, err = run(capsys, command, "--p", "9", "--format", "csv")
+    assert (rc, out) == (2, "")
+    assert "p=9 is not an odd prime" in err
+
+
+def test_count_zero_processes_nothing(capsys):
+    rc, out, _ = run(capsys, "scan", "--p", "37", "--count", "0")
+    assert rc == 0
+    assert out.startswith("p=37 processed=0 hits=0 ")
+    rc, out, _ = run(capsys, "scan", "--p", "37", "--count", "0", "--format", "csv")
+    assert (rc, out) == (0, "p,l,c,g,expp,ms\r\n")
+
+
+def test_vandiver_count_zero_is_a_usage_error(capsys):
+    rc, out, err = run(capsys, "vandiver", "--p", "37", "--count", "0")
+    assert (rc, out) == (2, "")
+    assert "max_steps must be at least 1" in err
+
+
+@pytest.mark.parametrize("l,msg", [("13", "l=13 does not split"), ("15", "l=15 is not prime")],
+                         ids=["nonsplit", "composite"])
+def test_trace_rejects_a_bad_l(capsys, l, msg):
+    rc, out, err = run(capsys, "trace", "--p", "5", "--l", l, "--format", "csv")
+    assert (rc, out) == (2, "")
+    assert msg in err
+
+
 def test_cache_latch_and_resume(tmp_path, capsys):
     args = ("expp", "--p", "11", "--count", "3", "--cache-dir", str(tmp_path))
     rc, first, _ = run(capsys, *args)

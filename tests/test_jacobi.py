@@ -9,14 +9,16 @@ from primarity.jacobi import (
     ExponentSet,
     TwistContext,
     component,
+    cyclotomic_numbers,
     exponent_set,
     exponent_set_for,
     jacobi_sum,
     twist_product,
 )
-from primarity.modarith import primitive_root, split_primes
+from primarity.modarith import build_log_table, primitive_root, split_primes
+from primarity.residue_symbols import exact_jacobi_sum
 
-from oracles import jacobi_charsum
+from oracles import cyclotomic_numbers_naive, jacobi_charsum
 
 
 def test_context_build_validates_inputs():
@@ -48,6 +50,29 @@ def test_jacobi_sum_matches_character_sum_oracle():
         for i in range(1, p - 1):
             want = CycModP(p, [v % p for v in jacobi_charsum(p, l, ctx.g, i)])
             assert jacobi_sum(ctx, i) == want, (p, l, i)
+
+
+def test_cyclotomic_kernel_matches_oracles():
+    # p = 3, the smallest split l of several p, random (p, l) with the
+    # default root and random (p, l) with another primitive root g
+    rng = random.Random(31)
+    cases = [(3, l, None) for l in split_primes(3, count=3)]
+    cases += [(p, next(split_primes(p)), None) for p in (5, 7, 11, 37)]
+    for _ in range(6):
+        p = rng.choice((5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43))
+        l = rng.choice(list(split_primes(p, count=8)))
+        roots = [g for g in range(2, l)
+                 if all(pow(g, (l - 1) // f, l) != 1 for f in _factors(l - 1))]
+        cases += [(p, l, None), (p, l, rng.choice(roots[1:]))]
+    for p, l, g in cases:
+        ctx = TwistContext.build(p, l, g=g)
+        want_N = cyclotomic_numbers_naive(p, l, ctx.g)
+        assert cyclotomic_numbers(build_log_table(l, ctx.g), p).tolist() == want_N
+        assert ctx.cyclotomic.tolist() == want_N, (p, l, g)
+        for i in rng.sample(range(1, p - 1), min(3, p - 2)):
+            want = jacobi_charsum(p, l, ctx.g, i)
+            assert exact_jacobi_sum(ctx, i).coeffs == want, (p, l, g, i)
+            assert jacobi_sum(ctx, i) == CycModP(p, [v % p for v in want]), (p, l, g, i)
 
 
 def test_jacobi_sum_index_range():

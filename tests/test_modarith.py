@@ -69,6 +69,12 @@ def test_split_primes_bound_and_count_caps():
         next(split_primes(4))
 
 
+def test_split_primes_count_zero_and_negative():
+    assert list(split_primes(37, count=0)) == []
+    with pytest.raises(ValueError, match="non-negative"):
+        next(split_primes(37, count=-1))
+
+
 def test_log_table_invariants():
     t = build_log_table(149, 2)
     assert t.log(1) == 0

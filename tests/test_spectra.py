@@ -135,12 +135,22 @@ def test_trace_routes_agree_on_random_split_primes():
     rng = random.Random(17)
     for p in (3, 5, 7):
         ls = list(split_primes(p, count=40))
-        for l in rng.sample(ls, 6):
+        for l in ls[:3] + rng.sample(ls, 6):
             assert trace_polynomial(p, l, "dense") == trace_polynomial(p, l, "fast")
     for l in split_primes(11, count=4):
         assert trace_polynomial(11, l, "dense") == trace_polynomial(11, l, "fast")
     with pytest.raises(ValueError, match="unknown method"):
         trace_polynomial(3, 7, method="exact")
+
+
+@pytest.mark.parametrize("method", ["dense", "fast"])
+def test_trace_polynomial_validates_the_pair(method):
+    with pytest.raises(ValueError, match="p=9 is not an odd prime"):
+        trace_polynomial(9, 19, method)
+    with pytest.raises(ValueError, match="l=13 does not split"):
+        trace_polynomial(5, 13, method)
+    with pytest.raises(ValueError, match="l=15 is not prime"):
+        trace_polynomial(5, 15, method)
 
 
 def test_trace3_catalog():
