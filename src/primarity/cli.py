@@ -13,11 +13,10 @@ PRIMARITY_EXACT_JOBS, PRIMARITY_CACHE_DIR, PRIMARITY_FORMAT.
 Exit codes: 0 success (criterion established where one was asked), 2
 invalid input or resource refusal, 3 criterion undetermined at the given
 bounds, 4 I/O failure.  Input rejected on the first record leaves stdout
-empty, but for the title line of symbol's text output.  Caches are
-JSON-lines files under --cache-dir; loading an existing cache requires
---resume, which replays cached records verbatim and makes reruns
-byte-identical.  trace computes every R_l, a single --l included, by the
-cyclotomic-number route of spectra.
+empty.  Caches are JSON-lines files under --cache-dir; loading an existing
+cache requires --resume, which replays cached records verbatim and makes
+reruns byte-identical.  trace computes every R_l, a single --l included,
+by the cyclotomic-number route of spectra.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from itertools import chain, islice
 from pathlib import Path
 from typing import Iterator
 
-from .jacobi import _check_exponent
+from .jacobi import _check_exponent, check_pair
 from .modarith import is_prime, split_primes
 from .records import ordered_map, write_csv
 from .residue_symbols import SymbolCache, SymbolReport, symbol_key, symbol_report
@@ -239,6 +238,8 @@ def cmd_symbol(args: argparse.Namespace, cfg: RunConfig) -> int:
     _check_exponent(p, n)
     if args.l is None and args.l_max is None:
         raise ValueError("symbol needs --l or --l-max")
+    if args.l is not None:
+        check_pair(p, args.l)
     cache = _open_cache(cfg, "symbols.jsonl", SymbolCache)
     ls = [args.l] if args.l is not None else split_primes(p, bound=args.l_max)
     if cfg.format == "text":

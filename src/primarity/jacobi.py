@@ -12,6 +12,12 @@ in F_p[x]/Phi_p(x) via cycring.  Every J_i, exact ones included, is read
 off one table of cyclotomic numbers N[d][m] = #{y in C_d : 1 + y in C_m},
 C_d the coset of g**d modulo pth powers, counted once per pair; spectra
 builds trace polynomials from the same table.
+
+Exponent sets never multiply out S_n.  Mod p, Phi_p = (x-1)**(p-1) and J
+has augmentation 1, so log J = sum_{k<=p-2} (-1)**(k+1) (J-1)**k / k is
+exact, additive and Galois-equivariant.  sigma_a scales the moment m_d(v) =
+sum_k k**d v_k by a**d, and J sigma_-1(J) = l = 1 kills the even moments of
+log J, so S_n = 1 exactly when m_(p-n)(log J) = 0 (mod p).
 """
 
 from __future__ import annotations
@@ -134,42 +140,33 @@ def twist_product(ctx: TwistContext) -> CycModP:
     return J
 
 
-def _twist_powers(J: CycModP) -> list[CycModP]:
-    """[None, J, J**2, ..., J**(p-1)] by repeated multiplication."""
-    powers: list[CycModP] = [CycModP.one(J.p), J]
-    for _ in range(J.p - 2):
-        powers.append(powers[-1] * J)
-    return powers
-
-
-def _component_from_powers(p: int, powers: list[CycModP], n: int) -> CycModP:
-    """S_n over the half range a = 1 .. (p-1)/2."""
-    S = CycModP.one(p)
-    for a in range(1, (p - 1) // 2 + 1):
-        S = S * powers[pow(a, n - 1, p)].galois(a)
-    return S
-
-
 def _check_exponent(p: int, n: int) -> None:
     if n % 2 != 0 or not 2 <= n <= p - 3:
         raise ValueError(f"n={n} must be even and within [2, {p - 3}]")
 
 
 def component(ctx: TwistContext, J: CycModP, n: int) -> CycModP:
-    """S_n for one even exponent n in [2, p-3]."""
+    """S_n for one even exponent n in [2, p-3], by its defining product."""
     _check_exponent(ctx.p, n)
-    return _component_from_powers(ctx.p, _twist_powers(J), n)
+    S = CycModP.one(ctx.p)
+    for a in range(1, (ctx.p - 1) // 2 + 1):
+        S = S * (J ** pow(a, n - 1, ctx.p)).galois(a)
+    return S
 
 
 def exponent_set(ctx: TwistContext) -> ExponentSet:
-    """All even n in [2, p-3] with S_n = 1, sharing one power table for J."""
-    powers = _twist_powers(twist_product(ctx))
-    hits = [
-        n
-        for n in range(2, ctx.p - 2, 2)
-        if _component_from_powers(ctx.p, powers, n).is_one()
-    ]
-    return ExponentSet(ctx.p, tuple(hits))
+    """All even n in [2, p-3] with S_n = 1, that is with m_(p-n)(log J) = 0."""
+    p = ctx.p
+    u, log = twist_product(ctx) - CycModP.one(p), CycModP.zero(p)
+    for j in range(p - 2, 0, -1):  # Horner: log J = sum_j (-1)**(j+1) u**j / j
+        log = u * (log + CycModP.monomial(p, 0, (-1) ** (j + 1) * pow(j, -1, p)))
+    k = np.arange(p - 1, dtype=np.int64)
+    col, hits = k, []
+    for n in range(p - 3, 1, -2):
+        col = col * k * k % p  # k**(p-n) mod p; p**3 < 2**63 as CycModP needs p < 2**21
+        if int(col @ log.coeffs) % p == 0:
+            hits.append(n)
+    return ExponentSet(p, tuple(hits))
 
 
 def exponent_set_for(p: int, l: int, c: int | None = None, g: int | None = None) -> ExponentSet:

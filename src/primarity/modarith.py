@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Largest modulus for which a dense log table may be built (int64 entries).
+# Largest modulus for which a dense log table may be built (int32 entries).
 LOG_TABLE_CAP = 1 << 26
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -115,8 +115,9 @@ def build_log_table(l: int, g: int) -> LogTable:
     seen[powers] = True
     if int(seen.sum()) != l - 1:
         raise ValueError(f"{g} is not a primitive root mod {l}")
-    dlog = np.zeros(l, dtype=np.int64)
-    dlog[powers] = np.arange(l - 1, dtype=np.int64)
+    dlog = np.zeros(l, dtype=np.int32)
+    dlog[powers] = np.arange(l - 1, dtype=np.int32)
+    powers = powers.astype(np.int32)  # scattered through while still intp
     powers.setflags(write=False)
     dlog.setflags(write=False)
     return LogTable(modulus=l, base=g, powers=powers, dlog=dlog)

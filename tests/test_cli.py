@@ -147,6 +147,19 @@ def test_symbol_rejects_odd_exponent_before_output(capsys):
     assert "must be even" in err
 
 
+@pytest.mark.parametrize("l,msg", [("150", "l=150 is not prime"), ("151", "l=151 does not split")],
+                         ids=["composite", "nonsplit"])
+def test_symbol_rejects_a_bad_l_before_the_title(capsys, l, msg):
+    rc, out, err = run(capsys, "symbol", "--p", "37", "--n", "32", "--l", l)
+    assert (rc, out) == (2, "")
+    assert msg in err
+
+
+def test_symbol_without_split_primes_prints_the_title_alone(capsys):
+    rc, out, _ = run(capsys, "symbol", "--p", "37", "--n", "32", "--l-max", "140")
+    assert (rc, out) == (0, "p=37 n=32\n")
+
+
 def test_symbol_json(capsys):
     rc, out, _ = run(capsys, "symbol", "--p", "37", "--n", "32", "--l", "149",
                      "--format", "json")

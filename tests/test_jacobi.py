@@ -18,6 +18,7 @@ from primarity.jacobi import (
 from primarity.modarith import build_log_table, primitive_root, split_primes
 from primarity.residue_symbols import exact_jacobi_sum
 
+from _goldens import SCAN37_LOW
 from oracles import cyclotomic_numbers_naive, jacobi_charsum
 
 
@@ -61,9 +62,7 @@ def test_cyclotomic_kernel_matches_oracles():
     for _ in range(6):
         p = rng.choice((5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43))
         l = rng.choice(list(split_primes(p, count=8)))
-        roots = [g for g in range(2, l)
-                 if all(pow(g, (l - 1) // f, l) != 1 for f in _factors(l - 1))]
-        cases += [(p, l, None), (p, l, rng.choice(roots[1:]))]
+        cases += [(p, l, None), (p, l, rng.choice(_primitive_roots(l)[1:]))]
     for p, l, g in cases:
         ctx = TwistContext.build(p, l, g=g)
         want_N = cyclotomic_numbers_naive(p, l, ctx.g)
@@ -109,11 +108,22 @@ def test_component_validates_exponent():
 
 
 def test_exponent_set_agrees_with_per_component_checks():
-    for p, l in ((11, 23), (13, 53), (37, 149), (37, 4219)):
-        ctx = TwistContext.build(p, l)
+    # the log-moment route against the defining product S_n, on fixed
+    # pairs, random (p, l, c, g) and the nonempty p=37 goldens
+    rng = random.Random(2018)
+    cases = [(p, l, None, None) for p, l in ((11, 23), (13, 53), (37, 149), (37, 4219))]
+    for _ in range(8):
+        p = rng.choice((5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67))
+        l = rng.choice(list(split_primes(p, count=6)))
+        cases.append((p, l, rng.choice(_primitive_roots(p)), rng.choice(_primitive_roots(l))))
+    cases += [(37, l, None, None) for l, want in sorted(SCAN37_LOW.items()) if want]
+    for p, l, c, g in cases:
+        ctx = TwistContext.build(p, l, c=c, g=g)
         J = twist_product(ctx)
         direct = {n for n in range(2, p - 2, 2) if component(ctx, J, n).is_one()}
-        assert set(exponent_set(ctx).members) == direct
+        assert set(exponent_set(ctx).members) == direct, (p, l, c, g)
+        if p == 37 and l in SCAN37_LOW:
+            assert direct == SCAN37_LOW[l], l
 
 
 def test_exponent_set_choice_independent():
@@ -121,14 +131,17 @@ def test_exponent_set_choice_independent():
     rng = random.Random(99)
     for p, l in ((7, 29), (11, 23), (13, 53), (37, 149), (37, 4219)):
         base = exponent_set_for(p, l)
-        cs = [c for c in range(2, p - 1)
-              if all(pow(c, (p - 1) // f, p) != 1 for f in _factors(p - 1))]
-        gs = [g for g in range(2, l)
-              if all(pow(g, (l - 1) // f, l) != 1 for f in _factors(l - 1))]
+        cs = _primitive_roots(p)
+        gs = _primitive_roots(l)
         for _ in range(3):
             c = rng.choice(cs)
             g = rng.choice(gs)
             assert exponent_set_for(p, l, c=c, g=g).members == base.members, (p, l, c, g)
+
+
+def _primitive_roots(q):
+    return [g for g in range(2, q)
+            if all(pow(g, (q - 1) // f, q) != 1 for f in _factors(q - 1))]
 
 
 def _factors(n):

@@ -111,6 +111,8 @@ def test_log_table_arrays_are_read_only():
     with pytest.raises(ValueError):
         t.powers[0] = 9
     assert isinstance(t.dlog, np.ndarray)
+    # every entry is below l <= LOG_TABLE_CAP = 2**26
+    assert t.powers.dtype == np.int32 and t.dlog.dtype == np.int32
 
 
 @pytest.mark.parametrize("p", [9, 15, 91])

@@ -6,7 +6,7 @@ import pytest
 
 from primarity import vandiver
 from primarity.jacobi import ExponentSet, exponent_set_for
-from primarity.modarith import split_primes
+from primarity.modarith import is_prime, split_primes
 from primarity.vandiver import (
     CriterionVerdict,
     DensityTable,
@@ -251,6 +251,30 @@ def test_density157_checkpoints():
     assert seen == checkpoints
     # the n=116 slot fills for the first time on the very last hit
     assert table.counts[57] == 1
+
+
+# the 56 irregular primes between 200 and 1000 (OEIS A000928 has 64 below
+# 1000, 8 of them below 200)
+IRREGULAR_200_1000 = [
+    233, 257, 263, 271, 283, 293, 307, 311, 347, 353, 379, 389, 401, 409,
+    421, 433, 461, 463, 467, 491, 523, 541, 547, 557, 577, 587, 593, 607,
+    613, 617, 619, 631, 647, 653, 659, 673, 677, 683, 691, 727, 751, 757,
+    761, 773, 797, 809, 811, 821, 827, 839, 877, 881, 887, 929, 953, 971,
+]
+
+
+@pytest.mark.extended
+def test_criteria_hold_for_every_prime_from_211_to_997():
+    # Vandiver's conjecture is verified for all p < 2**31 (Hart, Harvey and
+    # Ong, 2017), so an undetermined p here is a bug
+    irregular = []
+    for p in (q for q in range(200, 1000) if is_prime(q)):
+        assert criterion_b(p).holds, p
+        verdict = criterion_a(p)
+        assert verdict.holds, p
+        if not verdict.regular:
+            irregular.append(p)
+    assert irregular == IRREGULAR_200_1000
 
 
 def test_export_scan_csv(tmp_path):
