@@ -29,14 +29,26 @@ def b1_omega(p: int, m: int) -> int:
     """B_{1, omega^m} mod p for odd m with 1 <= m <= p-4."""
     if m % 2 == 0 or not 1 <= m <= p - 4:
         raise ValueError(f"m={m} must be odd and within [1, {p - 4}]")
+    return next(_b1_omegas(p, m))
+
+
+def _b1_omegas(p: int, m0: int):
+    """B_{1, omega^m} mod p for odd m = m0, m0+2, ..., p-4, in order.
+
+    omega(a) is computed once per a, and each term omega(a)**m * a steps
+    to the next m by one product with omega(a)**2.
+    """
     p2 = p * p
-    tot = 0
-    for a in range(1, p):
-        tot = (tot + pow(a, p * m, p2) * a) % p2
-    if tot % p != 0:
-        # the character sum is divisible by p for every odd m != -1 mod p-1
-        raise ArithmeticError(f"character sum for p={p}, m={m} not divisible by p")
-    return tot // p % p
+    omegas = [pow(a, p, p2) for a in range(1, p)]
+    terms = [pow(w, m0, p2) * a % p2 for a, w in enumerate(omegas, 1)]
+    steps = [w * w % p2 for w in omegas]
+    for m in range(m0, p - 3, 2):
+        tot = sum(terms) % p2
+        if tot % p != 0:
+            # the character sum is divisible by p for every odd m != -1 mod p-1
+            raise ArithmeticError(f"character sum for p={p}, m={m} not divisible by p")
+        yield tot // p
+        terms = [t * s % p2 for t, s in zip(terms, steps)]
 
 
 @dataclass(frozen=True)
@@ -64,7 +76,7 @@ def irregularity_report(p: int) -> IrregularityReport:
     """Scan all even n in [2, p-3] for vanishing B_{1, omega^(n-1)}."""
     if p < 5 or not is_prime(p):
         raise ValueError(f"p={p} must be a prime >= 5")
-    hits = tuple(n for n in range(2, p - 2, 2) if b1_omega(p, n - 1) == 0)
+    hits = tuple(n for n, b in zip(range(2, p - 2, 2), _b1_omegas(p, 1)) if b == 0)
     return IrregularityReport(p=p, irregular_exponents=hits, index=len(hits))
 
 

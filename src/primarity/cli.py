@@ -157,7 +157,7 @@ def cmd_vandiver(args: argparse.Namespace, cfg: RunConfig) -> int:
     def verdicts():
         for p in _prime_range(args):
             if args.mode == "a":
-                verdict = criterion_a(p, l=args.l, c=args.c)
+                verdict = criterion_a(p, l=args.l, c=args.c, cache=cache)
             else:
                 steps = DEFAULT_MAX_STEPS if args.count is None else args.count
                 verdict = criterion_b(p, stream=split_primes(p, bound=args.l_max),

@@ -7,15 +7,17 @@ split off, and the reduced element evaluated at a root of Phi_p mod l.
 A coefficient blow-up guard caps the exact route at a configurable memory
 budget (default 1 GiB) instead of thrashing.
 
-The norm of the reduced component is a signed power of l; it is computed
-as the resultant Res(Phi_p, S_n) by CRT over word-size primes q = 1 mod p,
-where Phi_p splits and the resultant is a plain product of p-1 values.
+The norm of the reduced component is a signed power of l.  It is computed
+exactly inside Z[x]/Phi_p, down the tower of subfields of the cyclic
+Galois group: one prime factor r of p-1 at a time, the element is
+replaced by the product of its r conjugates over the next subfield, which
+for p = 37 takes six products.  Valuations are read with a squaring
+ladder q, q**2, q**4, ... rather than one division per factor.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -23,7 +25,7 @@ import numpy as np
 
 from .cycring import CycModP
 from .jacobi import TwistContext, _check_exponent, jacobi_counts
-from .modarith import is_prime, primitive_root
+from .modarith import factorize, primitive_root
 from .records import JsonlStore
 
 DEFAULT_MEMORY_LIMIT = 1 << 30  # bytes of coefficient storage
@@ -138,16 +140,34 @@ def exact_twist_component(
     return S
 
 
+def _valuation(n: int, q: int) -> int:
+    """Exponent of q in n != 0, from a squaring ladder q, q**2, q**4, ...
+
+    Costs O(log v) big divisions where the plain loop costs v of them.
+    """
+    if n == 0 or q < 2:
+        raise ValueError(f"no {q}-adic valuation of {n}")
+    ladder = []
+    step = q
+    while n % step == 0:
+        ladder.append(step)
+        step *= step
+    v = 0
+    for k in reversed(range(len(ladder))):
+        rest, r = divmod(n, ladder[k])
+        if r == 0:
+            n = rest
+            v += 1 << k
+    return v
+
+
 def min_p_valuation(u: CycBigInt, q: int) -> int | None:
     """Smallest q-adic valuation over the nonzero coefficients, None if u = 0."""
     best: int | None = None
     for c in u.coeffs:
         if c == 0:
             continue
-        v = 0
-        while c % q == 0:
-            c //= q
-            v += 1
+        v = _valuation(c, q)
         if best is None or v < best:
             best = v
             if best == 0:
@@ -302,74 +322,33 @@ class SymbolCache(JsonlStore):
         return super().get(*symbol_key(p, n, l, c, g))
 
 
-def _crt_primes(p: int, need_bits: int):
-    """Deterministic stream of ~62-bit primes q = 1 mod p, covering need_bits."""
-    step = 2 * p
-    q = (1 << 62) // step * step + 1
-    got = 0
-    while got < need_bits:
-        q += step
-        if is_prime(q):
-            got += q.bit_length() - 1
-            yield q
-
-
 def norm_l_power(u: CycBigInt, l: int) -> tuple[int, int]:
     """Norm of u down to Q, returned as (sign, e) with norm = sign * l**e.
 
-    The norm is Res(Phi_p, u), computed by CRT over primes q = 1 mod p:
-    there Phi_p splits, so each residue is a product of p-1 evaluations
-    at the pth roots of unity mod q.  Raises if the norm is not a signed
-    power of l, which cannot happen for a reduced twisted component.
+    Gal(Q(zeta_p)/Q) is cyclic of order p-1, generated by sigma: x -> x**c
+    for a primitive root c mod p.  The norm is taken down the tower of
+    fixed fields one prime factor r of the degree r*m at a time: the
+    product of the r conjugates sigma**(j*m)(v), j < r, is the norm of v
+    into the subfield of degree m.  At degree 1 only the constant may be left;
+    anything else is an arithmetic fault and raises ArithmeticError.
+    Raises ValueError if the norm is not a signed power of l, which cannot
+    happen for a reduced twisted component.
     """
     p = u.p
-    height = sum(abs(c) for c in u.coeffs)
-    if height == 0:
+    if not any(u.coeffs):
         raise ValueError("the zero element has no norm")
-    # |u(zeta)| <= height on the unit circle, so |norm| <= height**(p-1)
-    need_bits = (p - 1) * height.bit_length() + 2
-    residues = []
-    primes = []
-    for q in _crt_primes(p, need_bits):
-        cods = [c % q for c in u.coeffs]
-        w = _root_of_unity(p, q)
-        acc = 1
-        r = 1
-        for _ in range(p - 1):
-            r = r * w % q
-            val = 0
-            for c in reversed(cods):
-                val = (val * r + c) % q
-            acc = acc * val % q
-        residues.append(acc)
-        primes.append(q)
-    norm = _crt_signed(residues, primes)
-    sign = -1 if norm < 0 else 1
-    norm = abs(norm)
-    e = 0
-    while norm % l == 0:
-        norm //= l
-        e += 1
-    if norm != 1:
+    c = primitive_root(p)
+    v, m = u, p - 1
+    for r in factorize(p - 1):
+        m //= r
+        w = v
+        for j in range(1, r):
+            w = w.mul(v.galois(pow(c, j * m, p)))
+        v = w
+    norm, *rest = v.coeffs
+    if norm == 0 or any(rest):
+        raise ArithmeticError(f"the norm from Q(zeta_{p}) is not a nonzero rational")
+    e = _valuation(norm, l)
+    if abs(norm) != l**e:
         raise ValueError(f"norm is not a pure power of {l}")
-    return sign, e
-
-
-def _root_of_unity(p: int, q: int) -> int:
-    """Some element of order p in F_q*, for q = 1 mod p."""
-    e = (q - 1) // p
-    for a in range(2, q):
-        w = pow(a, e, q)
-        if w != 1:
-            return w
-    raise ValueError(f"no pth root of unity mod {q}")
-
-
-def _crt_signed(residues: list[int], primes: list[int]) -> int:
-    """Combine residues and center the result in (-M/2, M/2)."""
-    M = math.prod(primes)
-    x = 0
-    for r, q in zip(residues, primes):
-        Mq = M // q
-        x = (x + r * pow(Mq, -1, q) % q * Mq) % M
-    return x - M if x > M // 2 else x
+    return (-1 if norm < 0 else 1), e

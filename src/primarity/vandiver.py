@@ -7,8 +7,8 @@ primes and certifies p as soon as the running intersection is empty.  Both
 produce a CriterionVerdict; a scan that exhausts its budget first reports
 the criterion as not established rather than failed.
 
-Long scans persist per-pair results as append-only JSON lines keyed by
-(p, l, c, g) so interrupted runs resume without recomputation.  Pairs are
+Criteria and scans persist per-pair results as append-only JSON lines keyed
+by (p, l, c, g), so runs resume without recomputing any pair.  Pairs are
 computed only when the stream reaches them, at most `jobs` at a time, and
 fold back into stream order so results never depend on the job count.
 """
@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from .bernoulli import irregularity_report
-from .jacobi import ExponentSet, exponent_set_for
+from .jacobi import ExponentSet, check_pair, exponent_set_for
 from .modarith import primitive_root, split_primes
 from .records import JsonlStore, ordered_map, write_csv
 
@@ -96,8 +96,13 @@ def scan_pairs(
     """
     if c is None:
         c = primitive_root(p)
-    keys = ((p, l, c, primitive_root(l)) for l in ls)
-    yield from ordered_map(_pair_record, keys, jobs, cache)
+
+    def key(l: int) -> tuple[int, int, int, int]:
+        # primitive_root factors l-1 by trial division: reject a bad l first
+        check_pair(p, l)
+        return p, l, c, primitive_root(l)
+
+    yield from ordered_map(_pair_record, map(key, ls), jobs, cache)
 
 
 @dataclass(frozen=True)
@@ -155,11 +160,13 @@ class CriterionVerdict:
         return " ".join(parts)
 
 
-def criterion_a(p: int, l: int | None = None, c: int | None = None) -> CriterionVerdict:
+def criterion_a(p: int, l: int | None = None, c: int | None = None,
+                cache: ScanCache | None = None) -> CriterionVerdict:
     """Check E_l(p) against the irregular exponents of p."""
     if l is None:
         l = next(split_primes(p, count=1))
-    e_l = exponent_set_for(p, l, c=c)
+    (rec,) = scan_pairs(p, [l], c=c, cache=cache)
+    e_l = rec.exponent_set()
     # p=3 has no even exponents in [2, p-3] at all
     e_0 = ExponentSet(3, ()) if p == 3 else irregularity_report(p).exponent_set()
     inter = e_l.intersection(e_0)

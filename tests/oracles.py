@@ -55,6 +55,29 @@ def cyclotomic_numbers_naive(p: int, l: int, g: int) -> list[list[int]]:
     return N
 
 
+def norm_naive(p: int, coeffs: list[int]) -> int:
+    """Norm from Q(zeta_p) to Q as the product of all p-1 conjugates.
+
+    Multiplies the images of coeffs (on 1, z, ..., z^(p-2)) under z -> z^a,
+    a = 1 .. p-1, modulo z^p - 1 with plain lists, then folds z^(p-1) away;
+    what is left mod Phi_p must be a rational constant.
+    """
+    prod = [1] + [0] * (p - 1)
+    for a in range(1, p):
+        conj = [0] * p
+        for k, c in enumerate(coeffs):
+            conj[k * a % p] += c
+        out = [0] * p
+        for i, x in enumerate(prod):
+            for j, y in enumerate(conj):
+                out[(i + j) % p] += x * y
+        prod = out
+    folded = [c - prod[p - 1] for c in prod[: p - 1]]
+    if any(folded[1:]):
+        raise AssertionError(f"the conjugate product is not rational: {folded}")
+    return folded[0]
+
+
 @lru_cache(maxsize=None)
 def bernoulli_frac(n: int) -> Fraction:
     """B_n by the defining recurrence sum C(n+1, j) B_j = 0."""

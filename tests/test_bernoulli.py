@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from primarity.bernoulli import b1_omega, b_c_factor, irregularity_report, teichmuller
+from primarity.bernoulli import _b1_omegas, b1_omega, b_c_factor, irregularity_report, teichmuller
 
 from _goldens import B_C_FACTOR_VALUES, IRREGULAR_EXPONENTS, TEICHMULLER_VALUES
 from oracles import bn_over_n_mod_p, teichmuller_bruteforce
@@ -34,6 +34,14 @@ def test_b1_omega_matches_bernoulli_quotients(p):
     # Kummer congruence: B_{1, omega^(n-1)} = B_n / n mod p for even n
     for n in range(2, p - 2, 2):
         assert b1_omega(p, n - 1) == bn_over_n_mod_p(n, p)
+
+
+@pytest.mark.parametrize("p", [5, 7, 37, 101, 157])
+def test_stepped_b1_omegas_match_bernoulli_quotients(p):
+    # irregularity_report reads every m from one pass stepping by omega(a)**2
+    want = [bn_over_n_mod_p(n, p) for n in range(2, p - 2, 2)]
+    assert list(_b1_omegas(p, 1)) == want
+    assert list(_b1_omegas(p, 3)) == want[1:]
 
 
 def test_b1_omega_range_checks():

@@ -11,6 +11,7 @@ from primarity.residue_symbols import (
     CycBigInt,
     SymbolCache,
     SymbolReport,
+    _valuation,
     build_report,
     classify,
     classify_for,
@@ -34,16 +35,12 @@ from _goldens import (
     U1_N32,
     U1_N32_PRINCIPAL,
 )
-from oracles import jacobi_charsum
+from oracles import is_prime_naive, jacobi_charsum, norm_naive
 
 
 def conjugate_norm(u):
-    """Norm by multiplying out all Galois conjugates; must be rational."""
-    prod = CycBigInt.one(u.p)
-    for a in range(1, u.p):
-        prod = prod.mul(u.galois(a))
-    assert not any(prod.coeffs[1:])
-    return prod.coeffs[0]
+    """Norm by multiplying out all Galois conjugates with no package code."""
+    return norm_naive(u.p, u.coeffs)
 
 
 def test_cycbigint_canonicalizes_length_p():
@@ -186,6 +183,93 @@ def test_norm_agrees_with_conjugate_product_on_random_elements():
             else:
                 with pytest.raises(ValueError):
                     norm_l_power(u, l)
+
+
+def _split_prime_and_root(p):
+    """Smallest prime l = 1 mod p and its smallest primitive root, by search."""
+    l = next(l for l in range(p + 1, 10**6, p) if is_prime_naive(l))
+    g = next(g for g in range(2, l) if len({pow(g, k, l) for k in range(l - 1)}) == l - 1)
+    return l, g
+
+
+def _division_loop(n, q):
+    """(e, rest) with n = q**e * rest and q not dividing rest, one factor at a time."""
+    e = 0
+    while n % q == 0:
+        n //= q
+        e += 1
+    return e, n
+
+
+def _plain_power(n, l):
+    """(sign, e) with n = sign * l**e, or None."""
+    e, rest = _division_loop(abs(n), l)
+    return ((-1 if n < 0 else 1), e) if rest == 1 else None
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 31, 37])
+def test_norm_l_power_matches_the_naive_norm(p):
+    # p - 1 runs over 2, 2^2, 2*3, 2*5, 2^2*3, 2^4, 2*3*5, 2^2*3^2
+    rng = random.Random(p)
+    l, g = _split_prime_and_root(p)
+    zero = [0] * (p - 1)
+
+    def unit():
+        # -(1 + x + ... + x^(a-1)) = -(1 - x^a)/(1 - x) and x^k have norm 1
+        a, k = rng.randrange(2, p), rng.randrange(p)
+        cyclotomic = CycBigInt(p, [-1] * a + [0] * (p - a)).galois(rng.randrange(1, p))
+        return cyclotomic.mul(CycBigInt(p, [0] * k + [1] + [0] * (p - 1 - k)))
+
+    others = 0
+    for _ in range(6):
+        # J(chi^i, chi) has norm l**((p-1)/2)
+        j = rng.randrange(3)
+        u = CycBigInt(p, jacobi_charsum(p, l, g, rng.randrange(1, p - 1)))
+        u = u.mul(unit()).mul(CycBigInt(p, [l**j] + zero[1:]))
+        want = _plain_power(norm_naive(p, u.coeffs), l)
+        assert want == (1, (p - 1) // 2 + j * (p - 1))
+        assert norm_l_power(u, l) == want
+    for trial in range(8):
+        coeffs = [rng.randrange(-9, 10) for _ in range(p - 1)]
+        if trial == 0:
+            coeffs = [2 * l] + zero[1:]  # 2**(p-1) * l**(p-1)
+        if not any(coeffs):
+            continue
+        want = _plain_power(norm_naive(p, coeffs), l)
+        if want is None:
+            with pytest.raises(ValueError, match=f"not a pure power of {l}"):
+                norm_l_power(CycBigInt(p, coeffs), l)
+            others += 1
+        else:
+            assert norm_l_power(CycBigInt(p, coeffs), l) == want
+    assert others  # some random element has a norm that is not a power of l
+    big = [l**200] + zero[1:]
+    assert norm_naive(p, big) == l ** (200 * (p - 1))
+    assert norm_l_power(CycBigInt(p, big), l) == (1, 200 * (p - 1))
+    with pytest.raises(ValueError, match="no norm"):
+        norm_l_power(CycBigInt(p, zero), l)
+
+
+def test_norm_l_power_rejects_a_norm_that_is_not_rational(monkeypatch):
+    # with every conjugate replaced by u itself the tower yields u**(p-1)
+    monkeypatch.setattr(CycBigInt, "galois", lambda self, a: self)
+    with pytest.raises(ArithmeticError, match="not a nonzero rational"):
+        norm_l_power(CycBigInt(5, [1, 1, 0, 0]), 11)
+
+
+def test_valuation_matches_the_division_loop():
+    rng = random.Random(31)
+    for q in (2, 3, 10, 37, 32783):
+        for _ in range(20):
+            v = rng.randrange(3001)
+            m = rng.randrange(1, 1 << 64)
+            while m % q == 0:
+                m += 1
+            n = rng.choice((1, -1)) * q**v * m
+            assert _valuation(n, q) == _division_loop(n, q)[0] == v
+    for n, q in ((0, 5), (7, 1)):
+        with pytest.raises(ValueError, match="valuation"):
+            _valuation(n, q)
 
 
 @pytest.mark.parametrize("l", [149, 32783])

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from primarity import vandiver
+from primarity.cli import main
 from primarity.jacobi import ExponentSet, exponent_set_for
 from primarity.modarith import is_prime, split_primes
 from primarity.vandiver import (
@@ -264,13 +265,15 @@ IRREGULAR_200_1000 = [
 
 
 @pytest.mark.extended
-def test_criteria_hold_for_every_prime_from_211_to_997():
+def test_criteria_hold_for_every_prime_from_211_to_997(tmp_path):
     # Vandiver's conjecture is verified for all p < 2**31 (Hart, Harvey and
-    # Ong, 2017), so an undetermined p here is a bug
+    # Ong, 2017), so an undetermined p here is a bug; criterion (a) replays
+    # the first pair criterion (b) stored
+    cache = ScanCache(tmp_path / "scan.jsonl")
     irregular = []
     for p in (q for q in range(200, 1000) if is_prime(q)):
-        assert criterion_b(p).holds, p
-        verdict = criterion_a(p)
+        assert criterion_b(p, cache=cache).holds, p
+        verdict = criterion_a(p, cache=cache)
         assert verdict.holds, p
         if not verdict.regular:
             irregular.append(p)
@@ -289,8 +292,8 @@ def test_export_scan_csv(tmp_path):
     ]
 
 
-@pytest.mark.parametrize("p", [11, 37])
-def test_criterion_b_computes_only_the_sets_it_uses(monkeypatch, p):
+def _count_sets(monkeypatch):
+    """The (p, l) of every exponent set vandiver computes from now on."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -298,6 +301,53 @@ def test_criterion_b_computes_only_the_sets_it_uses(monkeypatch, p):
         return exponent_set_for(*args, **kwargs)
 
     monkeypatch.setattr(vandiver, "exponent_set_for", counted)
+    return calls
+
+
+@pytest.mark.parametrize("p", [11, 37])
+def test_criterion_b_computes_only_the_sets_it_uses(monkeypatch, p):
+    calls = _count_sets(monkeypatch)
     verdict = criterion_b(p)
     assert verdict.holds
     assert calls == [(p, l) for l in verdict.witnesses]
+
+
+@pytest.mark.parametrize("cmd", [["vandiver", "--mode", "a"], ["expp"]])
+def test_a_bad_l_is_rejected_before_its_primitive_root(monkeypatch, capsys, cmd):
+    # primitive_root would trial-divide l - 1 = 2 * (a prime near 10**15)
+    def refuse(q):
+        raise AssertionError(f"primitive_root({q}) was called")
+
+    monkeypatch.setattr(vandiver, "primitive_root", refuse)
+    assert main([*cmd, "--p", "37", "--c", "2", "--l", "2000000000000075"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: l=2000000000000075 is not prime\n"
+
+
+def test_warm_criterion_a_resume_computes_no_exponent_set(tmp_path, monkeypatch, capsys):
+    argv = ["vandiver", "--p", "37", "--p-max", "67", "--mode", "a",
+            "--cache-dir", str(tmp_path)]
+    primes = [p for p in range(37, 68) if is_prime(p)]
+    calls = _count_sets(monkeypatch)
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    assert calls == [(p, FIRST_SPLIT[p][0]) for p in primes]
+    assert len((tmp_path / "scan.jsonl").read_text().splitlines()) == len(primes)
+    calls.clear()
+    assert main(argv + ["--resume"]) == 0
+    assert capsys.readouterr().out == cold
+    assert calls == []
+
+
+def test_criterion_b_then_a_computes_the_first_split_pair_once(tmp_path, monkeypatch, capsys):
+    assert main(["vandiver", "--p", "37", "--mode", "a"]) == 0
+    uncached = capsys.readouterr().out
+    calls = _count_sets(monkeypatch)
+    cache = ["--cache-dir", str(tmp_path)]
+    assert main(["vandiver", "--p", "37", "--mode", "b", *cache]) == 0
+    capsys.readouterr()
+    assert calls[0] == (37, FIRST_SPLIT[37][0])
+    used = list(calls)
+    assert main(["vandiver", "--p", "37", "--mode", "a", *cache, "--resume"]) == 0
+    assert capsys.readouterr().out == uncached
+    assert calls == used
