@@ -15,7 +15,6 @@ from .cycring import CycModP
 from .jacobi import (
     ExponentSet,
     TwistContext,
-    component,
     exponent_set,
     exponent_set_for,
     jacobi_sum,
@@ -76,7 +75,6 @@ __all__ = [
     "build_log_table",
     "jacobi_sum",
     "twist_product",
-    "component",
     "exponent_set",
     "exponent_set_for",
     "teichmuller",

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .jacobi import ExponentSet
+from .jacobi import ExponentSet, check_exponent
 from .modarith import is_prime
 
 
@@ -84,7 +84,6 @@ def b_c_factor(p: int, c: int, n: int) -> int:
     """(c - omega^(p-n)(c)) * B_{1, omega^(n-1)} mod p."""
     if not 2 <= c <= p - 1:
         raise ValueError(f"c={c} out of range [2, {p - 1}]")
-    if n % 2 != 0 or not 2 <= n <= p - 3:
-        raise ValueError(f"n={n} must be even and within [2, {p - 3}]")
+    check_exponent(p, n)
     omega_c = pow(teichmuller(c, p), p - n, p * p)
     return (c - omega_c) * b1_omega(p, n - 1) % p

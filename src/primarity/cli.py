@@ -30,7 +30,7 @@ from itertools import chain, islice
 from pathlib import Path
 from typing import Iterator
 
-from .jacobi import _check_exponent, check_pair
+from .jacobi import check_exponent, check_pair
 from .modarith import is_prime, split_primes
 from .records import ordered_map, write_csv
 from .residue_symbols import SymbolCache, SymbolReport, symbol_key, symbol_report
@@ -235,7 +235,7 @@ def cmd_symbol(args: argparse.Namespace, cfg: RunConfig) -> int:
     p, n = args.p, args.n
     if not is_prime(p) or p < 5:
         raise ValueError(f"p={p} is not a prime >= 5")
-    _check_exponent(p, n)
+    check_exponent(p, n)
     if args.l is None and args.l_max is None:
         raise ValueError("symbol needs --l or --l-max")
     if args.l is not None:

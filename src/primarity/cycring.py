@@ -68,10 +68,6 @@ class CycModP:
         self._require_same_ring(other)
         return CycModP(self.p, (self.coeffs + other.coeffs) % self.p)
 
-    def __sub__(self, other: "CycModP") -> "CycModP":
-        self._require_same_ring(other)
-        return CycModP(self.p, (self.coeffs - other.coeffs) % self.p)
-
     def __mul__(self, other: "CycModP") -> "CycModP":
         self._require_same_ring(other)
         # convolution peaks below (p-1) * (p-1)**2 < 2**63 for p < 2**21

@@ -17,7 +17,15 @@ Exponent sets never multiply out S_n.  Mod p, Phi_p = (x-1)**(p-1) and J
 has augmentation 1, so log J = sum_{k<=p-2} (-1)**(k+1) (J-1)**k / k is
 exact, additive and Galois-equivariant.  sigma_a scales the moment m_d(v) =
 sum_k k**d v_k by a**d, and J sigma_-1(J) = l = 1 kills the even moments of
-log J, so S_n = 1 exactly when m_(p-n)(log J) = 0 (mod p).
+log J, so S_n = 1 exactly when m_(p-n)(log J) = 0 (mod p).  The log itself
+is never formed: theta = x d/dx is a derivation of F_p[x]/(x**p - 1) with
+m_d(theta v) = m_(d+1)(v), and J**p = 1 there, so theta log J = theta J *
+J**(p-1) and
+
+    m_(p-n)(log J) = m_(p-n-1)(theta J * J**(p-1)).
+
+Both sides change by multiples of Phi_p only, which every m_e with
+0 <= e <= p-2 kills, so the product is taken in F_p[x]/Phi_p.
 """
 
 from __future__ import annotations
@@ -140,31 +148,22 @@ def twist_product(ctx: TwistContext) -> CycModP:
     return J
 
 
-def _check_exponent(p: int, n: int) -> None:
+def check_exponent(p: int, n: int) -> None:
+    """Raise ValueError unless n is even and within [2, p-3]."""
     if n % 2 != 0 or not 2 <= n <= p - 3:
         raise ValueError(f"n={n} must be even and within [2, {p - 3}]")
 
 
-def component(ctx: TwistContext, J: CycModP, n: int) -> CycModP:
-    """S_n for one even exponent n in [2, p-3], by its defining product."""
-    _check_exponent(ctx.p, n)
-    S = CycModP.one(ctx.p)
-    for a in range(1, (ctx.p - 1) // 2 + 1):
-        S = S * (J ** pow(a, n - 1, ctx.p)).galois(a)
-    return S
-
-
 def exponent_set(ctx: TwistContext) -> ExponentSet:
-    """All even n in [2, p-3] with S_n = 1, that is with m_(p-n)(log J) = 0."""
+    """All even n in [2, p-3] with S_n = 1, that is with m_(p-n-1)(theta J / J) = 0."""
     p = ctx.p
-    u, log = twist_product(ctx) - CycModP.one(p), CycModP.zero(p)
-    for j in range(p - 2, 0, -1):  # Horner: log J = sum_j (-1)**(j+1) u**j / j
-        log = u * (log + CycModP.monomial(p, 0, (-1) ** (j + 1) * pow(j, -1, p)))
+    J = twist_product(ctx)
     k = np.arange(p - 1, dtype=np.int64)
-    col, hits = k, []
+    w = CycModP(p, k * J.coeffs) * J ** (p - 1)  # theta J / J, as J**p = 1
+    col, hits = np.ones_like(k), []
     for n in range(p - 3, 1, -2):
-        col = col * k * k % p  # k**(p-n) mod p; p**3 < 2**63 as CycModP needs p < 2**21
-        if int(col @ log.coeffs) % p == 0:
+        col = col * k * k % p  # k**(p-n-1) mod p; p**3 < 2**63 as CycModP needs p < 2**21
+        if int(col @ w.coeffs) % p == 0:
             hits.append(n)
     return ExponentSet(p, tuple(hits))
 

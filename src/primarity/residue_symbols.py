@@ -24,7 +24,7 @@ from operator import attrgetter
 import numpy as np
 
 from .cycring import CycModP
-from .jacobi import TwistContext, _check_exponent, jacobi_counts
+from .jacobi import TwistContext, check_exponent, jacobi_counts
 from .modarith import factorize, primitive_root
 from .records import JsonlStore
 
@@ -129,7 +129,7 @@ def exact_twist_component(
     the mod-p convention and keeps the norm a clean power of l.
     """
     p = ctx.p
-    _check_exponent(p, n)
+    check_exponent(p, n)
     J = exact_twist_product(ctx, limit=limit)
     powers = [CycBigInt.one(p), J]
     for _ in range(p - 2):

@@ -3,7 +3,7 @@
 Viewed as vectors over F_p, the twisted Jacobi sums of the split primes of
 p satisfy four universal relations (augmentation 1, and first, second and
 fourth moments zero), so their span cannot exceed p-4; rank_scan watches
-the span actually get there.  The trace side factors l in the degree p
+the span actually get there.  The trace side factors p in the degree p
 subfield of Q(zeta_l): R_l is the characteristic polynomial of the
 Gaussian periods over F_p, and the number of distinct R_l as l grows is
 the spectrum the heuristic probability speaks about.
@@ -29,7 +29,7 @@ import numpy as np
 
 from .cycring import CycModP, render_poly
 from .jacobi import TwistContext, check_pair, cyclotomic_numbers, twist_product
-from .modarith import build_log_table, multiplicative_order, primitive_root, split_primes
+from .modarith import build_log_table, primitive_root, split_primes
 from .records import JsonlStore, ordered_map, write_csv
 
 
@@ -162,17 +162,12 @@ class TracePolynomial:
 
 
 def residue_degree(p: int, l: int) -> int:
-    """Residue degree of l in the degree p subfield: p or 1."""
-    o = multiplicative_order(p % l, l)
+    """Residue degree of p in the degree p subfield of Q(zeta_l): 1 or p.
 
-    def vp(x: int) -> int:
-        v = 0
-        while x % p == 0:
-            x //= p
-            v += 1
-        return v
-
-    return p if vp(o) == vp(l - 1) else 1
+    Frobenius at p acts through p mod l on Gal = F_l*, and the subfield is
+    fixed by the pth powers, so f = 1 exactly when p is a pth power mod l.
+    """
+    return 1 if pow(p, (l - 1) // p, l) == 1 else p
 
 
 def _periods(p: int, l: int) -> list[np.ndarray]:
@@ -294,28 +289,10 @@ def distinct_trace_count(
 
 
 def heuristic_probability(p: int) -> float:
-    """Chance two random exponent sets of split primes intersect trivially.
+    """Chance that two random exponent sets of split primes share a member.
 
     Binomial model: each of the N = (p-3)/2 slots joins a set with
-    probability 1/p; the bracket is the hypergeometric miss probability.
+    probability 1/p, so a slot lies in both with probability 1/p**2 and the
+    sets are disjoint with probability (1 - 1/p**2)**N.
     """
-    N = (p - 3) // 2
-    lg = math.lgamma
-
-    def logC(n: int, k: int) -> float:
-        return lg(n + 1) - lg(k + 1) - lg(n - k + 1)
-
-    q = 1.0 / p
-    tot = 0.0
-    for j in range(N + 1):
-        for k in range(N + 1):
-            w = math.exp(
-                logC(N, j) + logC(N, k)
-                + (2 * N - j - k) * math.log1p(-q) + (j + k) * math.log(q)
-            )
-            if j + k > N:
-                br = 1.0
-            else:
-                br = 1.0 - math.exp(lg(N - k + 1) + lg(N - j + 1) - lg(N + 1) - lg(N - k - j + 1))
-            tot += w * br
-    return tot
+    return -math.expm1((p - 3) // 2 * math.log1p(-1 / p**2))

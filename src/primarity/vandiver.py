@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from .bernoulli import irregularity_report
-from .jacobi import ExponentSet, check_pair, exponent_set_for
+from .jacobi import ExponentSet, check_exponent, check_pair, exponent_set_for
 from .modarith import primitive_root, split_primes
 from .records import JsonlStore, ordered_map, write_csv
 
@@ -265,8 +265,7 @@ class DensityTable:
     last_l: int
 
     def count_for(self, n: int) -> int:
-        if n % 2 != 0 or not 2 <= n <= self.p - 3:
-            raise ValueError(f"n={n} must be even and within [2, {self.p - 3}]")
+        check_exponent(self.p, n)
         return self.counts[n // 2 - 1]
 
     def render_vector(self) -> str:

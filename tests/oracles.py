@@ -78,6 +78,46 @@ def norm_naive(p: int, coeffs: list[int]) -> int:
     return folded[0]
 
 
+def mul_mod_phi_naive(p: int, a: list[int], b: list[int]) -> list[int]:
+    """a * b mod (p, Phi_p) on coefficient lists; the result has length p-1.
+
+    Inputs may have up to p coefficients: x^k is read as x^(k mod p), and
+    x^(p-1) is folded away as -(1 + x + ... + x^(p-2)).
+    """
+    raw = [0] * p
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                raw[(i + j) % p] += x * y
+    top = raw[p - 1]
+    return [(c - top) % p for c in raw[: p - 1]]
+
+
+@lru_cache(maxsize=8)
+def _powers_naive(p: int, J: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """J**0, ..., J**(p-1) mod (p, Phi_p), one plain product each."""
+    powers = [(1,) + (0,) * (p - 2)]
+    for _ in range(p - 1):
+        powers.append(tuple(mul_mod_phi_naive(p, powers[-1], J)))
+    return tuple(powers)
+
+
+def component_naive(p: int, J: list[int], n: int) -> list[int]:
+    """S_n = prod_{a=1}^{(p-1)/2} sigma_a(J**(a**(n-1) mod p)) mod (p, Phi_p).
+
+    The defining product of the mod-p component, on coefficient lists of
+    1, x, ..., x^(p-2); sigma_a sends x^k to x^(ka mod p).
+    """
+    powers = _powers_naive(p, tuple(int(c) % p for c in J))
+    S = list(powers[0])
+    for a in range(1, (p - 1) // 2 + 1):
+        conj = [0] * p
+        for k, c in enumerate(powers[pow(a, n - 1, p)]):
+            conj[k * a % p] += c
+        S = mul_mod_phi_naive(p, S, conj)
+    return S
+
+
 @lru_cache(maxsize=None)
 def bernoulli_frac(n: int) -> Fraction:
     """B_n by the defining recurrence sum C(n+1, j) B_j = 0."""
@@ -107,6 +147,27 @@ def teichmuller_bruteforce(a: int, p: int) -> int:
         if pow(w, p - 1, p2) == 1:
             return w
     raise AssertionError(f"no Teichmuller lift of {a} mod {p}**2")
+
+
+def residue_degree_naive(p: int, l: int) -> int:
+    """Residue degree of p in the degree p subfield of Q(zeta_l), by search.
+
+    The order of p mod l comes from repeated multiplication; f = p exactly
+    when that order carries the full power of p dividing l - 1.
+    """
+    order, v = 1, p % l
+    while v != 1:
+        v = v * p % l
+        order += 1
+
+    def vp(x: int) -> int:
+        e = 0
+        while x % p == 0:
+            x //= p
+            e += 1
+        return e
+
+    return p if vp(order) == vp(l - 1) else 1
 
 
 def heuristic_probability_exact(p: int) -> Fraction:

@@ -1,5 +1,6 @@
 """Jacobi sums, twist products, components, exponent sets."""
 
+import math
 import random
 
 import pytest
@@ -8,7 +9,6 @@ from primarity.cycring import CycModP
 from primarity.jacobi import (
     ExponentSet,
     TwistContext,
-    component,
     cyclotomic_numbers,
     exponent_set,
     exponent_set_for,
@@ -16,10 +16,10 @@ from primarity.jacobi import (
     twist_product,
 )
 from primarity.modarith import build_log_table, primitive_root, split_primes
-from primarity.residue_symbols import exact_jacobi_sum
+from primarity.residue_symbols import exact_jacobi_sum, exact_twist_component
 
 from _goldens import SCAN37_LOW
-from oracles import cyclotomic_numbers_naive, jacobi_charsum
+from oracles import component_naive, cyclotomic_numbers_naive, jacobi_charsum
 
 
 def test_context_build_validates_inputs():
@@ -98,17 +98,16 @@ def test_jacobi_sum_times_its_conjugate_is_l():
 
 def test_component_validates_exponent():
     ctx = TwistContext.build(11, 23)
-    J = twist_product(ctx)
     with pytest.raises(ValueError):
-        component(ctx, J, 3)
+        exact_twist_component(ctx, 3)
     with pytest.raises(ValueError):
-        component(ctx, J, 0)
+        exact_twist_component(ctx, 0)
     with pytest.raises(ValueError):
-        component(ctx, J, 10)
+        exact_twist_component(ctx, 10)
 
 
 def test_exponent_set_agrees_with_per_component_checks():
-    # the log-moment route against the defining product S_n, on fixed
+    # the exponent-set kernel against the defining product S_n, on fixed
     # pairs, random (p, l, c, g) and the nonempty p=37 goldens
     rng = random.Random(2018)
     cases = [(p, l, None, None) for p, l in ((11, 23), (13, 53), (37, 149), (37, 4219))]
@@ -119,11 +118,26 @@ def test_exponent_set_agrees_with_per_component_checks():
     cases += [(37, l, None, None) for l, want in sorted(SCAN37_LOW.items()) if want]
     for p, l, c, g in cases:
         ctx = TwistContext.build(p, l, c=c, g=g)
-        J = twist_product(ctx)
-        direct = {n for n in range(2, p - 2, 2) if component(ctx, J, n).is_one()}
+        J, one = twist_product(ctx).coeffs.tolist(), [1] + [0] * (p - 2)
+        direct = {n for n in range(2, p - 2, 2) if component_naive(p, J, n) == one}
         assert set(exponent_set(ctx).members) == direct, (p, l, c, g)
         if p == 37 and l in SCAN37_LOW:
             assert direct == SCAN37_LOW[l], l
+
+
+@pytest.mark.parametrize("p", [37, 67, 101])
+def test_exponent_set_makes_logarithmically_many_products(p, monkeypatch):
+    # c-1 products for the twist, at most 2 ceil(log2 p) for J**(p-1), one for w
+    ctx = TwistContext.build(p, next(split_primes(p)))
+    calls, mul = [], CycModP.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(CycModP, "__mul__", counted)
+    exponent_set(ctx)
+    assert len(calls) <= (ctx.c - 1) + 2 * math.ceil(math.log2(p)) + 1, len(calls)
 
 
 def test_exponent_set_choice_independent():

@@ -32,7 +32,7 @@ from _goldens import (
     TRACE5_TAIL,
     TRACE7,
 )
-from oracles import heuristic_probability_exact
+from oracles import heuristic_probability_exact, residue_degree_naive
 
 
 def test_rank_accumulator_basics():
@@ -182,6 +182,12 @@ def test_residue_degree_values():
     assert residue_degree(5, 13451) == 1
 
 
+def test_residue_degree_matches_the_order_search():
+    for p in (3, 5, 7, 11, 13):
+        for l in split_primes(p, bound=20000):
+            assert residue_degree(p, l) == residue_degree_naive(p, l), (p, l)
+
+
 def test_trace_polynomial_validation():
     with pytest.raises(ValueError, match="coefficients"):
         TracePolynomial(p=7, l=29, coeffs=(1, 2, 3), residue_degree=7)
@@ -210,7 +216,7 @@ def test_trace_catalog_replays_without_recomputation(tmp_path):
 
 
 def test_heuristic_probability_against_exact_oracle():
-    for p in (5, 7, 11, 37):
+    for p in (5, 7, 11, 37, 101, 157):
         exact = float(heuristic_probability_exact(p))
         assert heuristic_probability(p) == pytest.approx(exact, rel=1e-10)
 
