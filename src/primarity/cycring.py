@@ -75,15 +75,16 @@ class CycModP:
         return CycModP(self.p, reduce_mod_phi(raw, self.p))
 
     def __pow__(self, e: int) -> "CycModP":
+        """self**e by left-to-right squaring: bit_length(e) + popcount(e) - 2 products."""
         if e < 0:
             raise ValueError("negative powers are not defined here")
-        acc = CycModP.one(self.p)
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
+        if e == 0:
+            return CycModP.one(self.p)
+        acc = self
+        for bit in bin(e)[3:]:
+            acc = acc * acc
+            if bit == "1":
+                acc = acc * self
         return acc
 
     def galois(self, a: int) -> "CycModP":

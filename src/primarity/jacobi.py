@@ -142,8 +142,8 @@ def jacobi_sum(ctx: TwistContext, i: int) -> CycModP:
 
 def twist_product(ctx: TwistContext) -> CycModP:
     """J = J_1 * ... * J_(c-1), the twisted Jacobi-sum product."""
-    J = CycModP.one(ctx.p)
-    for i in range(1, ctx.c):
+    J = jacobi_sum(ctx, 1)
+    for i in range(2, ctx.c):
         J = J * jacobi_sum(ctx, i)
     return J
 

@@ -4,8 +4,17 @@ The mod-p exponent sets only see whether S_n reduces to 1.  To decide
 whether S_n is a local or global pth power the component is rebuilt with
 exact integer coefficients over the full range a = 1 .. p-1, its l-content
 split off, and the reduced element evaluated at a root of Phi_p mod l.
-A coefficient blow-up guard caps the exact route at a configurable memory
-budget (default 1 GiB) instead of thrashing.
+
+S_n is never multiplied out over Z.  Modulo a prime q = 1 (mod 2p), Phi_p
+splits into p-1 linear factors, one per root w of order p, so S_n(w) is a
+product of p-1 values J(w**a)**(a**(n-1) mod p) in F_q, taken for a chunk
+of word-size primes at once in int64 numpy.  The coefficients come back by
+interpolation at the p-1 roots and one CRT.  How many primes that takes
+follows from an exact height bound: every J_i has absolute value sqrt(l)
+in every complex embedding, so each coefficient of S_n lies below
+2 * l**(e/2), e = (c-1) * sum_a (a**(n-1) mod p).  The same bound sizes the
+coefficients before any work, and a memory budget (default 1 GiB) refuses
+components above it.
 
 The norm of the reduced component is a signed power of l.  It is computed
 exactly inside Z[x]/Phi_p, down the tower of subfields of the cyclic
@@ -18,17 +27,21 @@ ladder q, q**2, q**4, ... rather than one division per factor.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import attrgetter
 
 import numpy as np
 
 from .cycring import CycModP
 from .jacobi import TwistContext, check_exponent, jacobi_counts
-from .modarith import factorize, primitive_root
+from .modarith import factorize, is_prime, primitive_root
 from .records import JsonlStore
 
 DEFAULT_MEMORY_LIMIT = 1 << 30  # bytes of coefficient storage
+_MODULUS_CAP = 1 << 28  # products of two residues stay below 2**56
+_CHUNK = 16  # moduli per numpy pass: (16, p, p) int64 is 175 KB at p = 37
 
 
 class CycBigInt:
@@ -51,8 +64,8 @@ class CycBigInt:
     def one(cls, p: int) -> "CycBigInt":
         return cls(p, [1] + [0] * (p - 2))
 
-    def mul(self, other: "CycBigInt", limit: int | None = None) -> "CycBigInt":
-        """Product reduced mod Phi_p, with an optional memory guard."""
+    def mul(self, other: "CycBigInt") -> "CycBigInt":
+        """Product reduced mod Phi_p."""
         if self.p != other.p:
             raise ValueError(f"mixed rings: p={self.p} vs p={other.p}")
         p = self.p
@@ -62,12 +75,7 @@ class CycBigInt:
                 for j, b in enumerate(other.coeffs):
                     if b:
                         folded[(i + j) % p] += a * b
-        out = CycBigInt(p, folded)
-        if limit is not None and out.storage_bytes() > limit:
-            raise MemoryError(
-                f"coefficients exceed the {limit} byte budget for p={p}"
-            )
-        return out
+        return CycBigInt(p, folded)
 
     def __mul__(self, other: "CycBigInt") -> "CycBigInt":
         return self.mul(other)
@@ -87,9 +95,6 @@ class CycBigInt:
         c = list(self.coeffs)
         c[0] -= 1
         return CycBigInt(self.p, c)
-
-    def storage_bytes(self) -> int:
-        return sum(c.bit_length() for c in self.coeffs) // 8
 
     def is_one(self) -> bool:
         return self.coeffs[0] == 1 and not any(self.coeffs[1:])
@@ -112,12 +117,72 @@ def exact_jacobi_sum(ctx: TwistContext, i: int) -> CycBigInt:
     return CycBigInt(ctx.p, [-int(t) for t in jacobi_counts(ctx, i)])
 
 
-def exact_twist_product(ctx: TwistContext, limit: int | None = DEFAULT_MEMORY_LIMIT) -> CycBigInt:
-    """J = J_1 * ... * J_(c-1) over Z[x]/Phi_p."""
-    J = CycBigInt.one(ctx.p)
-    for i in range(1, ctx.c):
-        J = J.mul(exact_jacobi_sum(ctx, i), limit=limit)
-    return J
+@lru_cache(maxsize=256)
+def _moduli(p: int, chunk: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """Chunk number chunk of the primes q = 1 (mod 2p) below 2**28, descending.
+
+    Holds _CHUNK primes, fewer once they run out, with powers[i, t] = w**t
+    mod q_i, t < p, for a root w of order p mod q_i, and p**-1 mod q_i.
+    """
+    if chunk == 0:
+        q = (_MODULUS_CAP - 2) // (2 * p) * (2 * p) + 1
+    else:
+        before = _moduli(p, chunk - 1)[0]
+        q = before[-1] - 2 * p if len(before) == _CHUNK else 0
+    qs, roots = [], []
+    while len(qs) < _CHUNK and q > 2 * p:
+        if is_prime(q):
+            h = 2
+            while (w := pow(h, (q - 1) // p, q)) == 1:
+                h += 1
+            qs.append(q)
+            roots.append(w)
+        q -= 2 * p
+    col, roots = np.array(qs, dtype=np.int64), np.array(roots, dtype=np.int64)
+    powers = np.ones((len(qs), p), dtype=np.int64)
+    for t in range(1, p):
+        powers[:, t] = powers[:, t - 1] * roots % col
+    inv_p = np.array([pow(p, -1, q) for q in qs], dtype=np.int64)
+    powers.setflags(write=False)
+    inv_p.setflags(write=False)
+    return tuple(qs), powers, inv_p
+
+
+def _moduli_above(p: int, bound: int) -> list | None:
+    """The fewest leading moduli, chunk by chunk, whose product M has M**2 > bound.
+
+    None when the primes below 2**28 run out first.
+    """
+    chunks, square = [], 1
+    while square <= bound:
+        qs, powers, inv_p = _moduli(p, len(chunks))
+        if not qs:
+            return None
+        count = 0
+        while count < len(qs) and square <= bound:
+            square *= qs[count] ** 2
+            count += 1
+        chunks.append((qs[:count], powers[:count], inv_p[:count]))
+    return chunks
+
+
+def _crt_signed(residues: np.ndarray, qs: tuple[int, ...]) -> list[int]:
+    """x_k = residues[i, k] (mod qs[i]) for all i, with |x_k| < M/2, M = prod qs.
+
+    x_k = sum_i y_ik M/q_i with y_ik = residues[i, k] (M/q_i)**-1 mod q_i.
+    The sum is built up a product tree: the node over the moduli of two
+    children with products Q_a, Q_b holds V_a Q_b + V_b Q_a.
+    """
+    M = math.prod(qs)
+    weight = np.array([pow(M // q % q, -1, q) for q in qs], dtype=np.int64)[:, None]
+    q = np.array(qs, dtype=np.int64)[:, None]
+    nodes = list(zip((residues * weight % q).tolist(), qs))
+    while len(nodes) > 1:
+        pairs = [([a * qb + b * qa for a, b in zip(va, vb)], qa * qb)
+                 for (va, qa), (vb, qb) in zip(nodes[::2], nodes[1::2])]
+        nodes = pairs + nodes[2 * len(pairs):]
+    half = M // 2  # M is odd
+    return [(v + half) % M - half for v in nodes[0][0]]
 
 
 def exact_twist_component(
@@ -126,18 +191,66 @@ def exact_twist_component(
     """S_n = prod_{a=1}^{p-1} sigma_a(J**(a**(n-1) mod p)), exactly.
 
     The full range a = 1 .. p-1 is deliberate: it makes S_n the square of
-    the mod-p convention and keeps the norm a clean power of l.
+    the mod-p convention and keeps the norm a clean power of l.  Raises
+    MemoryError before any work when the height bound allows coefficients
+    of more than limit bytes (None disables the check), or when the primes
+    below 2**28 are too few to carry them.
     """
-    p = ctx.p
+    p, l = ctx.p, ctx.l
     check_exponent(p, n)
-    J = exact_twist_product(ctx, limit=limit)
-    powers = [CycBigInt.one(p), J]
-    for _ in range(p - 2):
-        powers.append(powers[-1].mul(J, limit=limit))
-    S = CycBigInt.one(p)
-    for a in range(1, p):
-        S = S.mul(powers[pow(a, n - 1, p)].galois(a), limit=limit)
-    return S
+    e = np.array([pow(a, n - 1, p) for a in range(1, p)], dtype=np.int64)
+    # |tau(J_i)| = sqrt(l) for every embedding tau, as chi**i, chi and
+    # chi**(i+1) are nontrivial for i <= c-1 <= p-3; so |tau(S_n)| = B with
+    # B**2 = l**height, and T_k below gives |coefficient| < 2B
+    height = (ctx.c - 1) * int(e.sum())
+    too_big = MemoryError(f"coefficients exceed the {limit} byte budget for p={p}")
+    bits = (height * l.bit_length() + 1) // 2 + 1  # bits of 2B, rounded up
+    if limit is not None and (p - 1) * bits // 8 > limit:
+        raise too_big
+    chunks = _moduli_above(p, 16 * l**height)  # M > 4B recovers signs
+    if chunks is None:
+        raise too_big
+    counts = np.stack([jacobi_counts(ctx, i) for i in range(1, ctx.c)], axis=1)
+    r = np.arange(p)
+    at_root = r[:, None] * r % p  # J_i(w**b) = -sum_e t_i[e] w**(b*e)
+    pick = e[:, None] * p + r[1:] * r[1:, None] % p  # S(w**j) takes J(w**(j*a))**e_a
+    inverse = -r[:, None] * r[1:] % p  # T_k = sum_j S(w**j) w**(-j*k)
+    residues = []
+    for qs, w, inv_p in chunks:
+        # every product below is of two residues below 2**28
+        q = np.array(qs, dtype=np.int64)[:, None]
+        qq = q[:, :, None]
+        # the counts of each J_i sum to l - 2 < 2**26, the log-table cap,
+        # so these sums of counts times powers of w stay below 2**54
+        sums = -(w[:, at_root] @ counts) % qq
+        J = sums[:, :, 0]
+        for i in range(1, ctx.c - 1):
+            J = J * sums[:, :, i] % q
+        # table[:, t, b] = J(w**b)**t for t < p, by doubling
+        table = np.ones((len(qs), p, p), dtype=np.int64)
+        table[:, 1] = J
+        t = 2
+        while t < p:
+            h = min(t, p - t)
+            table[:, t : t + h] = table[:, :h] * (table[:, t - 1] * J % q)[:, None] % qq
+            t += h
+        # S(w**j) for j = 1 .. p-1: gather the p-1 factors, multiply pairwise
+        f = table.reshape(len(qs), p * p)[:, pick]
+        while f.shape[1] > 1:
+            h = f.shape[1] // 2
+            top = f[:, :h] * f[:, h : 2 * h] % qq
+            if f.shape[1] % 2:
+                top[:, 0] = top[:, 0] * f[:, -1] % q
+            f = top
+        S = f[:, 0]
+        # T_k = p s_k - sum(s) for k < p-1 and T_(p-1) = -sum(s); S is split
+        # into 14-bit halves so each of the p-1 terms of a sum is below 2**42
+        dft = w[:, inverse]
+        T = dft @ (S >> 14)[:, :, None] % qq * (1 << 14) + dft @ (S & 0x3FFF)[:, :, None]
+        T = T[:, :, 0] % q
+        residues.append((T[:, :-1] - T[:, -1:]) * inv_p[:, None] % q)
+    qs = sum((chunk[0] for chunk in chunks), ())
+    return CycBigInt(p, _crt_signed(np.concatenate(residues), qs))
 
 
 def _valuation(n: int, q: int) -> int:

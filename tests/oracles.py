@@ -78,8 +78,8 @@ def norm_naive(p: int, coeffs: list[int]) -> int:
     return folded[0]
 
 
-def mul_mod_phi_naive(p: int, a: list[int], b: list[int]) -> list[int]:
-    """a * b mod (p, Phi_p) on coefficient lists; the result has length p-1.
+def mul_exact_naive(p: int, a: list[int], b: list[int]) -> list[int]:
+    """a * b in Z[x]/Phi_p on coefficient lists; the result has length p-1.
 
     Inputs may have up to p coefficients: x^k is read as x^(k mod p), and
     x^(p-1) is folded away as -(1 + x + ... + x^(p-2)).
@@ -90,7 +90,12 @@ def mul_mod_phi_naive(p: int, a: list[int], b: list[int]) -> list[int]:
             for j, y in enumerate(b):
                 raw[(i + j) % p] += x * y
     top = raw[p - 1]
-    return [(c - top) % p for c in raw[: p - 1]]
+    return [c - top for c in raw[: p - 1]]
+
+
+def mul_mod_phi_naive(p: int, a: list[int], b: list[int]) -> list[int]:
+    """a * b mod (p, Phi_p) on coefficient lists, as in mul_exact_naive."""
+    return [c % p for c in mul_exact_naive(p, a, b)]
 
 
 @lru_cache(maxsize=8)
@@ -115,6 +120,25 @@ def component_naive(p: int, J: list[int], n: int) -> list[int]:
         for k, c in enumerate(powers[pow(a, n - 1, p)]):
             conj[k * a % p] += c
         S = mul_mod_phi_naive(p, S, conj)
+    return S
+
+
+def component_exact_naive(p: int, J: list[int], n: int) -> list[int]:
+    """S_n = prod_{a=1}^{p-1} sigma_a(J**(a**(n-1) mod p)) in Z[x]/Phi_p.
+
+    The exact defining product over the full range a = 1 .. p-1, on integer
+    lists of 1, x, ..., x^(p-2): the powers J**0 .. J**(p-1) by repeated
+    multiplication, sigma_a sending x^k to x^(ka mod p).
+    """
+    powers = [[1] + [0] * (p - 2)]
+    for _ in range(p - 1):
+        powers.append(mul_exact_naive(p, powers[-1], J))
+    S = powers[0]
+    for a in range(1, p):
+        conj = [0] * p
+        for k, c in enumerate(powers[pow(a, n - 1, p)]):
+            conj[k * a % p] += c
+        S = mul_exact_naive(p, S, conj)
     return S
 
 

@@ -1,6 +1,5 @@
 """Jacobi sums, twist products, components, exponent sets."""
 
-import math
 import random
 
 import pytest
@@ -125,9 +124,9 @@ def test_exponent_set_agrees_with_per_component_checks():
             assert direct == SCAN37_LOW[l], l
 
 
-@pytest.mark.parametrize("p", [37, 67, 101])
+@pytest.mark.parametrize("p", [37, 41, 67, 101])
 def test_exponent_set_makes_logarithmically_many_products(p, monkeypatch):
-    # c-1 products for the twist, at most 2 ceil(log2 p) for J**(p-1), one for w
+    # c-2 products for the twist, bit_length + popcount - 2 for J**(p-1), one for w
     ctx = TwistContext.build(p, next(split_primes(p)))
     calls, mul = [], CycModP.__mul__
 
@@ -137,7 +136,8 @@ def test_exponent_set_makes_logarithmically_many_products(p, monkeypatch):
 
     monkeypatch.setattr(CycModP, "__mul__", counted)
     exponent_set(ctx)
-    assert len(calls) <= (ctx.c - 1) + 2 * math.ceil(math.log2(p)) + 1, len(calls)
+    power = (p - 1).bit_length() + bin(p - 1).count("1") - 2
+    assert len(calls) == (ctx.c - 2) + power + 1, len(calls)
 
 
 def test_exponent_set_choice_independent():

@@ -1,10 +1,12 @@
 """Exact components, l-content, residue symbols, norms."""
 
 import json
+import math
 import random
 
 import pytest
 
+from primarity import residue_symbols
 from primarity.jacobi import TwistContext, twist_product
 from primarity.modarith import split_primes
 from primarity.residue_symbols import (
@@ -17,7 +19,6 @@ from primarity.residue_symbols import (
     classify_for,
     exact_jacobi_sum,
     exact_twist_component,
-    exact_twist_product,
     l_content,
     min_p_valuation,
     norm_l_power,
@@ -35,7 +36,15 @@ from _goldens import (
     U1_N32,
     U1_N32_PRINCIPAL,
 )
-from oracles import component_naive, is_prime_naive, jacobi_charsum, mul_mod_phi_naive, norm_naive
+from oracles import (
+    component_exact_naive,
+    component_naive,
+    is_prime_naive,
+    jacobi_charsum,
+    mul_exact_naive,
+    mul_mod_phi_naive,
+    norm_naive,
+)
 
 
 def conjugate_norm(u):
@@ -60,11 +69,35 @@ def test_cycbigint_mul_matches_mod_p_ring():
             assert a.galois(2).to_mod_p() == a.to_mod_p().galois(2)
 
 
-def test_cycbigint_mul_memory_guard():
-    big = CycBigInt(5, [1 << 200, 1 << 201, 1 << 202, 1 << 203])
-    with pytest.raises(MemoryError, match="byte budget"):
-        big.mul(big, limit=64)
-    assert big.mul(big, limit=1 << 20).p == 5
+def test_component_memory_guard_raises_before_any_work(monkeypatch):
+    ctx = TwistContext.build(11, 23)
+
+    def no_work(*args):
+        raise AssertionError("work started before the guard")
+
+    with monkeypatch.context() as m:
+        m.setattr(residue_symbols, "jacobi_counts", no_work)
+        m.setattr(residue_symbols, "_moduli", no_work)
+        with pytest.raises(MemoryError, match="exceed the 32 byte budget for p=11"):
+            exact_twist_component(ctx, 2, limit=32)
+    assert exact_twist_component(ctx, 2, limit=None).coeffs == ALPHA11_COEFFS
+
+
+def test_component_raises_when_the_moduli_run_out(monkeypatch):
+    # primes q = 1 (mod 2p) below 2**6: 23 alone for p = 11, too few; for
+    # p = 5 just enough in 61, 41, 31 and q = l = 11, where J_1 vanishes
+    # at a root of order 5
+    monkeypatch.setattr(residue_symbols, "_MODULUS_CAP", 1 << 6)
+    residue_symbols._moduli.cache_clear()
+    try:
+        with pytest.raises(MemoryError, match="byte budget for p=11"):
+            exact_twist_component(TwistContext.build(11, 23), 2, limit=None)
+        ctx = TwistContext.build(5, 11)
+        assert residue_symbols._moduli_above(5, 16 * 11**_height(5, 2, 2))[0][0] == (61, 41, 31, 11)
+        J = _exact_twist_naive(ctx)
+        assert exact_twist_component(ctx, 2).coeffs == component_exact_naive(5, J, 2)
+    finally:
+        residue_symbols._moduli.cache_clear()
 
 
 def test_exact_jacobi_sum_matches_character_sum_oracle():
@@ -74,10 +107,60 @@ def test_exact_jacobi_sum_matches_character_sum_oracle():
             assert exact_jacobi_sum(ctx, i).coeffs == jacobi_charsum(p, l, ctx.g, i)
 
 
+def _exact_twist_naive(ctx):
+    """J = J_1 * ... * J_(c-1) over Z[x]/Phi_p from the character sums."""
+    J = [1] + [0] * (ctx.p - 2)
+    for i in range(1, ctx.c):
+        J = mul_exact_naive(ctx.p, J, jacobi_charsum(ctx.p, ctx.l, ctx.g, i))
+    return J
+
+
 def test_exact_twist_product_reduces_to_mod_p_twist():
     for p, l in ((5, 31), (7, 43), (11, 23), (13, 53)):
         ctx = TwistContext.build(p, l)
-        assert exact_twist_product(ctx).to_mod_p() == twist_product(ctx)
+        assert [c % p for c in _exact_twist_naive(ctx)] == twist_product(ctx).coeffs.tolist()
+
+
+def test_exact_component_matches_the_defining_product():
+    # seeded (p, l, n, c, g) with p <= 23; the moduli of some cases fill
+    # more than one chunk and end partway through the last
+    rng = random.Random(607)
+    cases = [(11, 67, 2, 8, 18), (13, 79, 6, 6, 39)]
+    for p in (5, 7, 11, 13, 17, 19, 23):
+        ls = [l for _, l in zip(range(4), split_primes(p))]
+        for _ in range(2):
+            l = rng.choice(ls)
+            cs = [c for c in _primitive_roots(p) if c <= min(p - 2, 7)]
+            cases.append((p, l, rng.randrange(2, p - 2, 2), rng.choice(cs),
+                          rng.choice(_primitive_roots(l))))
+    partial = 0
+    for p, l, n, c, g in cases:
+        ctx = TwistContext.build(p, l, c=c, g=g)
+        want = component_exact_naive(p, _exact_twist_naive(ctx), n)
+        assert exact_twist_component(ctx, n).coeffs == want, (p, l, n, c, g)
+        chunks = residue_symbols._moduli_above(p, 16 * l ** _height(p, n, c))
+        partial += len(chunks) > 1 and len(chunks[-1][0]) < residue_symbols._CHUNK
+    assert partial
+    assert any(c > 2 for _, _, _, c, _ in cases)
+
+
+def _height(p, n, c):
+    """(c-1) * sum_a (a**(n-1) mod p): |S_n|**2 = l**height in every embedding."""
+    return (c - 1) * sum(pow(a, n - 1, p) for a in range(1, p))
+
+
+def _primitive_roots(q):
+    return [g for g in range(2, q) if len({pow(g, k, q) for k in range(q - 1)}) == q - 1]
+
+
+def test_p37_coefficients_lie_under_the_height_bound():
+    l = 32783
+    S = exact_twist_component(TwistContext.build(37, l), 32)
+    B2 = l ** _height(37, 32, 2)  # B**2, B the absolute value at every embedding
+    assert max(abs(c).bit_length() for c in S.coeffs) == 4994
+    assert all(c * c < 4 * B2 for c in S.coeffs)  # |c| < 2B
+    M = math.prod(q for qs, _, _ in residue_symbols._moduli_above(37, 16 * B2) for q in qs)
+    assert M * M > 16 * B2  # M > 4B
 
 
 @pytest.mark.parametrize("p,ls", [(5, (11, 31, 41, 61)), (7, (29, 43, 71, 113)), (11, (23, 67, 89, 199))])
