@@ -83,13 +83,13 @@ def check_pair(p: int, l: int) -> None:
 def cyclotomic_numbers(logs: LogTable, p: int) -> np.ndarray:
     """N[d][m] = #{y in C_d : 1 + y in C_m} mod l = logs.modulus, read-only.
 
-    log(-1) = (l-1)/2 = ip puts -1 in C_0, so N also counts 1 - y in C_m:
-    one gather of log(1 - g**k), reshaped so column d holds k = d (mod p).
+    The pairs (y, 1 + y) for y = 1 .. l-2 are consecutive entries of the
+    coset index log(v) mod p, so one bincount of d*p + m counts them all.
     """
-    m = logs.dlog[(1 - logs.powers) % logs.modulus] % p
-    cells = m.reshape(-1, p) + p * np.arange(p)
-    N = np.bincount(cells.ravel(), minlength=p * p).reshape(p, p)
-    N[0, m[0]] -= 1  # k = 0 gives 1 - 1 = 0, which lies in no coset
+    coset = logs.dlog % p
+    cells = np.multiply(coset[1:-1], p, dtype=np.intp)  # intp: p*p passes int32 past p = 46340
+    cells += coset[2:]
+    N = np.bincount(cells, minlength=p * p).reshape(p, p)
     N.setflags(write=False)
     return N
 
@@ -125,7 +125,9 @@ def jacobi_counts(ctx: TwistContext, i: int) -> np.ndarray:
     """Exact counts t with J_i = -sum_e t[e] x**e, e in [0, p), read off N.
 
     The term y = g**k of J_i with y in C_d and 1 - y in C_m has exponent
-    log(1 - y) + i*k = m + i*d (mod p).
+    log(1 - y) + i*k = m + i*d (mod p).  log(-1) = (l-1)/2 = ip puts -1 in
+    C_0, so y -> -y keeps C_d, and N[d][m] also counts the y in C_d with
+    1 - y in C_m.
     """
     p = ctx.p
     if not 1 <= i <= p - 2:

@@ -18,11 +18,17 @@ LOG_TABLE_CAP = 1 << 26
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# (bound, k): the first k bases decide every n below bound.  Each bound is
+# the least strong pseudoprime to those k bases (Jaeschke; Sorenson-Webster).
+_MR_BOUNDS = ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4),
+              (2152302898747, 5), (3474749660383, 6), (341550071728321, 7),
+              (3825123056546413051, 9))
+
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, correct for all n below 2**64."""
+    """Deterministic Miller-Rabin over the bases n's size needs, correct below 2**64."""
     if n < 2:
         return False
     for q in _SMALL_PRIMES:
@@ -33,7 +39,8 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
+    bases = next((k for bound, k in _MR_BOUNDS if n < bound), len(_MR_BASES))
+    for a in _MR_BASES[:bases]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -60,16 +67,17 @@ def factorize(n: int) -> list[int]:
     return out
 
 
+def _generator_test(q: int):
+    """Predicate: g has order q - 1 mod q; then q is prime, and g = 0 (mod q) fails."""
+    cofactors = [(q - 1) // f for f in set(factorize(q - 1))]
+    return lambda g: pow(g, q - 1, q) == 1 and all(pow(g, e, q) != 1 for e in cofactors)
+
+
 def primitive_root(q: int) -> int:
     """Smallest positive primitive root modulo the prime q."""
-    if q == 2:
-        return 1
-    cofactors = [(q - 1) // f for f in set(factorize(q - 1))]
-    g = 2
-    while True:
-        if all(pow(g, e, q) != 1 for e in cofactors):
-            return g
-        g += 1
+    if not is_prime(q):
+        raise ValueError(f"q={q} is not prime")
+    return next(filter(_generator_test(q), range(1, q)))
 
 
 @dataclass(frozen=True)
@@ -100,6 +108,8 @@ def build_log_table(l: int, g: int) -> LogTable:
     """Dense log table mod l in one O(l) pass of meet-in-the-middle powering."""
     if l > LOG_TABLE_CAP:
         raise ValueError(f"modulus {l} exceeds the log-table cap {LOG_TABLE_CAP}")
+    if not _generator_test(l)(g):
+        raise ValueError(f"{g} is not a primitive root mod {l}")
     m = max(1, int(l ** 0.5))
     small = np.ones(m, dtype=np.int64)
     for j in range(1, m):
@@ -111,10 +121,6 @@ def build_log_table(l: int, g: int) -> LogTable:
         big[t] = big[t - 1] * gm % l
     # outer product stays below 2**63: both factors are < l <= 2**26
     powers = (big[:, None] * small[None, :] % l).reshape(-1)[: l - 1]
-    seen = np.zeros(l, dtype=bool)
-    seen[powers] = True
-    if int(seen.sum()) != l - 1:
-        raise ValueError(f"{g} is not a primitive root mod {l}")
     dlog = np.zeros(l, dtype=np.int32)
     dlog[powers] = np.arange(l - 1, dtype=np.int32)
     powers = powers.astype(np.int32)  # scattered through while still intp

@@ -173,16 +173,24 @@ def teichmuller_bruteforce(a: int, p: int) -> int:
     raise AssertionError(f"no Teichmuller lift of {a} mod {p}**2")
 
 
+def multiplicative_order_naive(a: int, l: int) -> int | None:
+    """Order of a mod the prime l by repeated multiplication; None for a = 0 (mod l)."""
+    if a % l == 0:
+        return None
+    order, v = 1, a % l
+    while v != 1:
+        v = v * a % l
+        order += 1
+    return order
+
+
 def residue_degree_naive(p: int, l: int) -> int:
     """Residue degree of p in the degree p subfield of Q(zeta_l), by search.
 
     The order of p mod l comes from repeated multiplication; f = p exactly
     when that order carries the full power of p dividing l - 1.
     """
-    order, v = 1, p % l
-    while v != 1:
-        v = v * p % l
-        order += 1
+    order = multiplicative_order_naive(p, l)
 
     def vp(x: int) -> int:
         e = 0

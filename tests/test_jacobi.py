@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from primarity.cycring import CycModP
@@ -54,10 +55,12 @@ def test_jacobi_sum_matches_character_sum_oracle():
 
 def test_cyclotomic_kernel_matches_oracles():
     # p = 3, the smallest split l of several p, random (p, l) with the
-    # default root and random (p, l) with another primitive root g
+    # default root and random (p, l) with another primitive root g; p = 257
+    # has p*p = 66049 cells, past int16, and p = 5 runs at l = 30011
     rng = random.Random(31)
     cases = [(3, l, None) for l in split_primes(3, count=3)]
-    cases += [(p, next(split_primes(p)), None) for p in (5, 7, 11, 37)]
+    cases += [(p, next(split_primes(p)), None) for p in (5, 7, 11, 37, 257)]
+    cases += [(5, 30011, None)]
     for _ in range(6):
         p = rng.choice((5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43))
         l = rng.choice(list(split_primes(p, count=8)))
@@ -71,6 +74,19 @@ def test_cyclotomic_kernel_matches_oracles():
             want = jacobi_charsum(p, l, ctx.g, i)
             assert exact_jacobi_sum(ctx, i).coeffs == want, (p, l, g, i)
             assert jacobi_sum(ctx, i) == CycModP(p, [v % p for v in want]), (p, l, g, i)
+
+
+def test_cyclotomic_numbers_invariants_at_scan37_high_size():
+    # oracle-free checks at the first SCAN37_HIGH prime, where a slice of the
+    # coset indices off by one breaks the sums
+    p, l = 37, 742073
+    N = TwistContext.build(p, l).cyclotomic
+    M, is0 = (l - 1) // p, np.arange(p) == 0
+    assert (N.sum(axis=1) == M - is0).all()  # y = -1 in C_0 has 1 + y = 0
+    assert (N.sum(axis=0) == M - is0).all()  # 1 + y = 1 in C_0 needs y = 0
+    assert (N == N.T).all()
+    d, m = np.ogrid[:p, :p]
+    assert (N[-d % p, (m - d) % p] == N).all()  # y -> 1/y
 
 
 def test_jacobi_sum_index_range():

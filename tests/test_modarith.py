@@ -13,12 +13,33 @@ from primarity.modarith import (
     split_primes,
 )
 
-from oracles import is_prime_naive
+from oracles import is_prime_naive, multiplicative_order_naive
 
 
-def test_is_prime_matches_trial_division_below_3000():
-    for n in range(3000):
+def test_is_prime_matches_trial_division_below_20000():
+    for n in range(20000):
         assert is_prime(n) == is_prime_naive(n), n
+
+
+def _strong_probable_prime(n, a):
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**s, n) == n - 1 for s in range(1, r))
+
+
+# the least strong pseudoprime to the first k prime bases, with a factor
+@pytest.mark.parametrize("n, k, factor", [
+    (2047, 1, 23), (1373653, 2, 829), (25326001, 3, 2251), (3215031751, 4, 151),
+    (2152302898747, 5, 6763), (3474749660383, 6, 1303), (341550071728321, 7, 10670053),
+    (3825123056546413051, 9, 149491),
+])
+def test_is_prime_rejects_the_least_strong_pseudoprimes(n, k, factor):
+    assert n % factor == 0 and 1 < factor < n
+    # n passes the first k bases, so only a base beyond them rejects it
+    assert all(_strong_probable_prime(n, a) for a in (2, 3, 5, 7, 11, 13, 17, 19, 23)[:k])
+    assert not is_prime(n)
 
 
 @pytest.mark.parametrize("n", [561, 1105, 1729, 2465, 2821, 6601, 8911, 62745, 162401])
@@ -48,6 +69,10 @@ def test_primitive_root_is_smallest_generator():
         assert multiplicative_order(g, q) == q - 1
         for h in range(2, g):
             assert multiplicative_order(h, q) < q - 1
+    assert primitive_root(2) == 1
+    for q in (0, 1, 4, 9, 561):
+        with pytest.raises(ValueError, match="not prime"):
+            primitive_root(q)
 
 
 def test_split_primes_form_and_order():
@@ -99,6 +124,29 @@ def test_log_table_rejects_non_primitive_base():
     # 4 is a square, so its powers repeat before covering F_29*
     with pytest.raises(ValueError, match="not a primitive root"):
         build_log_table(29, 4)
+
+
+@pytest.mark.parametrize("l, g", [
+    (7, 7), (7, 14),  # g = 0 (mod l): every power is 0, none is 1
+    (5, 1), (7, 1), (29, 1), (149, 1), (5, 4), (7, 6), (29, 28), (149, 148),
+    (9, 2), (561, 2),  # a composite modulus has no element of order l - 1
+])
+def test_log_table_rejects_bases_of_lower_order(l, g):
+    with pytest.raises(ValueError, match=f"{g} is not a primitive root mod {l}"):
+        build_log_table(l, g)
+
+
+@pytest.mark.parametrize("l", [31, 37])
+def test_log_table_accepts_exactly_the_bases_of_full_order(l):
+    accepted = set()
+    for g in range(2 * l):
+        try:
+            t = build_log_table(l, g)
+        except ValueError:
+            continue
+        accepted.add(g)
+        assert sorted(t.powers.tolist()) == list(range(1, l))
+    assert accepted == {g for g in range(2 * l) if multiplicative_order_naive(g, l) == l - 1}
 
 
 def test_log_table_refuses_oversized_modulus():
