@@ -57,7 +57,8 @@ class IrregularityReport:
 
     p: int
     irregular_exponents: tuple[int, ...]
-    index: int
+
+    index = property(lambda self: len(self.irregular_exponents))
 
     def exponent_set(self) -> ExponentSet:
         return ExponentSet(self.p, self.irregular_exponents)
@@ -77,7 +78,7 @@ def irregularity_report(p: int) -> IrregularityReport:
     if p < 5 or not is_prime(p):
         raise ValueError(f"p={p} must be a prime >= 5")
     hits = tuple(n for n, b in zip(range(2, p - 2, 2), _b1_omegas(p, 1)) if b == 0)
-    return IrregularityReport(p=p, irregular_exponents=hits, index=len(hits))
+    return IrregularityReport(p=p, irregular_exponents=hits)
 
 
 def b_c_factor(p: int, c: int, n: int) -> int:

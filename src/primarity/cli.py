@@ -7,8 +7,9 @@ output follows the print format of the underlying programs so rows can be
 diffed against published tables; json and csv are the machine interfaces.
 
 Configuration precedence: command-line flag, then environment variable,
-then built-in default.  Recognized variables: PRIMARITY_JOBS,
-PRIMARITY_EXACT_JOBS, PRIMARITY_CACHE_DIR, PRIMARITY_FORMAT.
+then built-in default.  Recognized variables: PRIMARITY_JOBS (worker
+processes of whichever route the subcommand runs), PRIMARITY_CACHE_DIR,
+PRIMARITY_FORMAT.
 
 Exit codes: 0 success (criterion established where one was asked), 2
 invalid input or resource refusal, 3 criterion undetermined at the given
@@ -54,7 +55,6 @@ class RunConfig:
     """Resolved plumbing options shared by all subcommands."""
 
     jobs: int
-    exact_jobs: int
     cache_dir: str | None
     format: str
     resume: bool
@@ -63,8 +63,7 @@ class RunConfig:
     def resolve(cls, args: argparse.Namespace) -> "RunConfig":
         """Apply the flag > environment > default precedence."""
         jobs = _pick_int(getattr(args, "jobs", None), "JOBS", 1)
-        exact_jobs = _pick_int(getattr(args, "exact_jobs", None), "EXACT_JOBS", 1)
-        if jobs < 1 or exact_jobs < 1:
+        if jobs < 1:
             raise ValueError("worker counts must be at least 1")
         cache_dir = getattr(args, "cache_dir", None) or os.environ.get(
             _ENV_PREFIX + "CACHE_DIR"
@@ -76,7 +75,6 @@ class RunConfig:
             raise ValueError(f"unknown format {fmt!r}")
         return cls(
             jobs=jobs,
-            exact_jobs=exact_jobs,
             cache_dir=cache_dir,
             format=fmt,
             resume=bool(getattr(args, "resume", False)),
@@ -245,7 +243,7 @@ def cmd_symbol(args: argparse.Namespace, cfg: RunConfig) -> int:
     if cfg.format == "text":
         print(f"p={p} n={n}")
     keys = (symbol_key(p, n, l, args.c) for l in ls)
-    jobs = cfg.exact_jobs if args.l is None else 1  # no pool for a single row
+    jobs = cfg.jobs if args.l is None else 1  # no pool for a single row
     _emit(cfg, SymbolReport.CSV_HEADER,
           ordered_map(symbol_report, keys, jobs, cache), _symbol_text)
     return 0
@@ -260,8 +258,7 @@ def _add_flags(sp: argparse.ArgumentParser, *names: str) -> None:
         "count": dict(type=int, help="how many split primes to process"),
         "c": dict(type=int, help="twist parameter (default: smallest primitive root)"),
         "n": dict(type=int, required=True, help="even exponent n in [2, p-3]"),
-        "jobs": dict(type=int, help="mod-p worker processes (env PRIMARITY_JOBS)"),
-        "exact-jobs": dict(type=int, help="exact-route worker processes (env PRIMARITY_EXACT_JOBS)"),
+        "jobs": dict(type=int, help="worker processes (env PRIMARITY_JOBS)"),
         "cache-dir": dict(help="directory for JSON-lines caches (env PRIMARITY_CACHE_DIR)"),
         "format": dict(choices=("text", "json", "csv"), help="output format (env PRIMARITY_FORMAT)"),
         "resume": dict(action="store_true", help="reuse an existing cache file"),
@@ -303,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_trace)
 
     sp = sub.add_parser("symbol", help="exact pth-power classification")
-    _add_flags(sp, "p", "n", "l", "l-max", "c", "exact-jobs",
+    _add_flags(sp, "p", "n", "l", "l-max", "c", "jobs",
                "cache-dir", "format", "resume")
     sp.set_defaults(func=cmd_symbol)
 

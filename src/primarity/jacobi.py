@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cycring import CycModP
-from .modarith import LogTable, build_log_table, is_prime, multiplicative_order, primitive_root
+from .modarith import LogTable, build_log_table, generator_test, is_prime, primitive_root
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,23 @@ def check_pair(p: int, l: int) -> None:
         raise ValueError(f"l={l} does not split: l % p = {l % p}")
 
 
+def pair_key(p: int, l: int, c: int | None = None,
+             g: int | None = None) -> tuple[int, int, int, int]:
+    """(p, l, c, g) of a valid pair, c and g defaulting to the least primitive roots.
+
+    The pair is checked first: primitive_root factors l-1 by trial division.
+    """
+    check_pair(p, l)
+    if c is None:
+        c = primitive_root(p)
+    # p=3 has no primitive root below p-1; its exponent range is empty anyway
+    if not (2 <= c <= p - 2 or (p == 3 and c == 2)):
+        raise ValueError(f"c={c} out of range for p={p}")
+    if not generator_test(p)(c):
+        raise ValueError(f"c={c} is not a primitive root mod {p}")
+    return p, l, c, primitive_root(l) if g is None else g
+
+
 def cyclotomic_numbers(logs: LogTable, p: int) -> np.ndarray:
     """N[d][m] = #{y in C_d : 1 + y in C_m} mod l = logs.modulus, read-only.
 
@@ -107,16 +124,7 @@ class TwistContext:
     @classmethod
     def build(cls, p: int, l: int, c: int | None = None, g: int | None = None) -> "TwistContext":
         """Validate the pair and count its cyclotomic numbers."""
-        check_pair(p, l)
-        if c is None:
-            c = primitive_root(p)
-        # p=3 has no primitive root below p-1; its exponent range is empty anyway
-        if not (2 <= c <= p - 2 or (p == 3 and c == 2)):
-            raise ValueError(f"c={c} out of range for p={p}")
-        if multiplicative_order(c, p) != p - 1:
-            raise ValueError(f"c={c} is not a primitive root mod {p}")
-        if g is None:
-            g = primitive_root(l)
+        p, l, c, g = pair_key(p, l, c, g)
         return cls(p=p, l=l, c=c, g=g,
                    cyclotomic=cyclotomic_numbers(build_log_table(l, g), p))
 

@@ -67,7 +67,7 @@ def factorize(n: int) -> list[int]:
     return out
 
 
-def _generator_test(q: int):
+def generator_test(q: int):
     """Predicate: g has order q - 1 mod q; then q is prime, and g = 0 (mod q) fails."""
     cofactors = [(q - 1) // f for f in set(factorize(q - 1))]
     return lambda g: pow(g, q - 1, q) == 1 and all(pow(g, e, q) != 1 for e in cofactors)
@@ -77,7 +77,7 @@ def primitive_root(q: int) -> int:
     """Smallest positive primitive root modulo the prime q."""
     if not is_prime(q):
         raise ValueError(f"q={q} is not prime")
-    return next(filter(_generator_test(q), range(1, q)))
+    return next(filter(generator_test(q), range(1, q)))
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,7 @@ def build_log_table(l: int, g: int) -> LogTable:
     """Dense log table mod l in one O(l) pass of meet-in-the-middle powering."""
     if l > LOG_TABLE_CAP:
         raise ValueError(f"modulus {l} exceeds the log-table cap {LOG_TABLE_CAP}")
-    if not _generator_test(l)(g):
+    if not generator_test(l)(g):
         raise ValueError(f"{g} is not a primitive root mod {l}")
     m = max(1, int(l ** 0.5))
     small = np.ones(m, dtype=np.int64)
@@ -150,11 +150,3 @@ def split_primes(p: int, bound: int | None = None, count: int | None = None):
             emitted += 1
         i += 1
 
-
-def multiplicative_order(a: int, q: int) -> int:
-    """Order of a in F_q*."""
-    o = q - 1
-    for f in set(factorize(q - 1)):
-        while o % f == 0 and pow(a, o // f, q) == 1:
-            o //= f
-    return o

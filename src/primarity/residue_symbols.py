@@ -35,7 +35,7 @@ from operator import attrgetter
 import numpy as np
 
 from .cycring import CycModP
-from .jacobi import TwistContext, check_exponent, jacobi_counts
+from .jacobi import TwistContext, check_exponent, jacobi_counts, pair_key
 from .modarith import factorize, is_prime, primitive_root
 from .records import JsonlStore
 
@@ -325,8 +325,8 @@ class SymbolReport:
 
     s is the minimal p-adic valuation of S_n - 1 (None when S_n = 1
     exactly), v the l-adic content, u the residue symbol of the reduced
-    component.  classification keeps only the strongest statement; the
-    booleans keep all of them.
+    component.  The verdicts are read off these: classification keeps
+    only the strongest statement, the two booleans keep all of them.
     """
 
     p: int
@@ -337,12 +337,17 @@ class SymbolReport:
     v: int
     s: int | None
     u: int
-    local_at_p: bool
-    local_at_l: bool
-    classification: str
 
     CSV_HEADER = ("p", "n", "l", "v", "s", "u", "classification")
     key = property(attrgetter("p", "n", "l", "c", "g"))
+    local_at_p = property(lambda self: self.s != 0)  # includes S_n = 1 exactly (s is None)
+    local_at_l = property(lambda self: self.v % self.p == 0 and self.u == 1)
+
+    @property
+    def classification(self) -> str:
+        if self.local_at_p:
+            return "global" if self.local_at_l else "local_at_p"
+        return "local_at_l" if self.local_at_l else "non_local_at_l"
 
     def row(self) -> list:
         return [self.p, self.n, self.l, self.v, self.s, self.u, self.classification]
@@ -370,35 +375,14 @@ class SymbolReport:
     @classmethod
     def from_json(cls, line: str) -> "SymbolReport":
         d = json.loads(line)
-        return build_report(p=d["p"], n=d["n"], l=d["l"], c=d["c"], g=d["g"],
-                            v=d["v"], s=d["s"], u=d["u"])
+        return cls(**{k: d[k] for k in ("p", "n", "l", "c", "g", "v", "s", "u")})
 
 
 def symbol_key(p: int, n: int, l: int, c: int | None = None,
                g: int | None = None) -> tuple[int, int, int, int, int]:
-    """(p, n, l, c, g), with c and g defaulting as in TwistContext.build."""
-    return (p, n, l, primitive_root(p) if c is None else c,
-            primitive_root(l) if g is None else g)
-
-
-def build_report(p: int, n: int, l: int, v: int, s: int | None, u: int,
-                 c: int | None = None, g: int | None = None) -> SymbolReport:
-    """Derive the classification from the measured invariants."""
-    local_at_p = s != 0  # includes S_n = 1 exactly (s is None)
-    local_at_l = v % p == 0 and u == 1
-    if local_at_p and local_at_l:
-        cls = "global"
-    elif local_at_p:
-        cls = "local_at_p"
-    elif local_at_l:
-        cls = "local_at_l"
-    else:
-        cls = "non_local_at_l"
-    p, n, l, c, g = symbol_key(p, n, l, c, g)
-    return SymbolReport(
-        p=p, n=n, l=l, c=c, g=g, v=v, s=s, u=u,
-        local_at_p=local_at_p, local_at_l=local_at_l, classification=cls,
-    )
+    """(p, n, l, c, g) for a valid pair, c and g resolved by pair_key."""
+    p, l, c, g = pair_key(p, l, c, g)
+    return p, n, l, c, g
 
 
 def classify(ctx: TwistContext, n: int, limit: int | None = DEFAULT_MEMORY_LIMIT) -> SymbolReport:
@@ -407,7 +391,7 @@ def classify(ctx: TwistContext, n: int, limit: int | None = DEFAULT_MEMORY_LIMIT
     s = min_p_valuation(S.minus_one(), ctx.p)
     v, reduced = l_content(S, ctx.l)
     u = residue_symbol(reduced, ctx.l, ctx.g)
-    return build_report(p=ctx.p, n=n, l=ctx.l, c=ctx.c, g=ctx.g, v=v, s=s, u=u)
+    return SymbolReport(p=ctx.p, n=n, l=ctx.l, c=ctx.c, g=ctx.g, v=v, s=s, u=u)
 
 
 def classify_for(
@@ -429,10 +413,6 @@ class SymbolCache(JsonlStore):
     """Symbol reports keyed by (p, n, l, c, g)."""
 
     record = SymbolReport
-
-    def get(self, p: int, n: int, l: int, c: int | None = None,
-            g: int | None = None) -> SymbolReport | None:
-        return super().get(*symbol_key(p, n, l, c, g))
 
 
 def norm_l_power(u: CycBigInt, l: int) -> tuple[int, int]:

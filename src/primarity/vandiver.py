@@ -24,8 +24,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from .bernoulli import irregularity_report
-from .jacobi import ExponentSet, check_exponent, check_pair, exponent_set_for
-from .modarith import primitive_root, split_primes
+from .jacobi import ExponentSet, check_exponent, exponent_set_for, pair_key
+from .modarith import split_primes
 from .records import JsonlStore, ordered_map, write_csv
 
 DEFAULT_MAX_STEPS = 64
@@ -94,39 +94,36 @@ def scan_pairs(
     Cached pairs are replayed verbatim; missing ones are computed when the
     stream reaches them, with jobs > 1 fanning them out to a process pool.
     """
-    if c is None:
-        c = primitive_root(p)
-
-    def key(l: int) -> tuple[int, int, int, int]:
-        # primitive_root factors l-1 by trial division: reject a bad l first
-        check_pair(p, l)
-        return p, l, c, primitive_root(l)
-
-    yield from ordered_map(_pair_record, map(key, ls), jobs, cache)
+    yield from ordered_map(_pair_record, (pair_key(p, l, c) for l in ls), jobs, cache)
 
 
 @dataclass(frozen=True)
 class CriterionVerdict:
-    """Outcome of a criterion run for one prime p."""
+    """Outcome of a criterion run for one prime p.
+
+    The criterion holds exactly when the intersection is empty.  Mode a
+    keeps the exponent set of its one witness and the irregular exponents
+    of p; p is regular when the latter are known and empty.  A mode b run
+    that does not hold ran out of split primes first: undetermined.
+    """
 
     p: int
     mode: str
     witnesses: tuple[int, ...]
     intersection: ExponentSet
-    holds: bool
-    steps: int
-    regular: bool = False
-    undetermined: bool = False
     exponents: ExponentSet | None = None
     irregular: ExponentSet | None = None
 
     def __post_init__(self) -> None:
-        if self.holds and self.intersection.members:
-            raise ValueError("verdict holds but the intersection is nonempty")
-        if self.holds and not self.witnesses:
-            raise ValueError("verdict holds without witnesses")
+        if not self.witnesses:
+            raise ValueError("verdict without witnesses")
 
     CSV_HEADER = ("p", "mode", "holds", "steps", "witnesses", "intersection")
+
+    holds = property(lambda self: self.intersection.is_empty())
+    steps = property(lambda self: len(self.witnesses))
+    regular = property(lambda self: self.irregular is not None and self.irregular.is_empty())
+    undetermined = property(lambda self: self.mode == "b" and not self.holds)
 
     def status(self) -> str:
         return "established" if self.holds else "not established"
@@ -169,18 +166,8 @@ def criterion_a(p: int, l: int | None = None, c: int | None = None,
     e_l = rec.exponent_set()
     # p=3 has no even exponents in [2, p-3] at all
     e_0 = ExponentSet(3, ()) if p == 3 else irregularity_report(p).exponent_set()
-    inter = e_l.intersection(e_0)
-    return CriterionVerdict(
-        p=p,
-        mode="a",
-        witnesses=(l,),
-        intersection=inter,
-        holds=inter.is_empty(),
-        steps=1,
-        regular=e_0.is_empty(),
-        exponents=e_l,
-        irregular=e_0,
-    )
+    return CriterionVerdict(p=p, mode="a", witnesses=(l,), intersection=e_l.intersection(e_0),
+                            exponents=e_l, irregular=e_0)
 
 
 def criterion_b(
@@ -207,25 +194,10 @@ def criterion_b(
         es = rec.exponent_set()
         inter = es if inter is None else inter.intersection(es)
         if inter.is_empty():
-            return CriterionVerdict(
-                p=p,
-                mode="b",
-                witnesses=tuple(witnesses),
-                intersection=inter,
-                holds=True,
-                steps=len(witnesses),
-            )
+            break
     if inter is None:
         raise ValueError(f"stream supplied no split primes for p={p}")
-    return CriterionVerdict(
-        p=p,
-        mode="b",
-        witnesses=tuple(witnesses),
-        intersection=inter,
-        holds=False,
-        steps=len(witnesses),
-        undetermined=True,
-    )
+    return CriterionVerdict(p=p, mode="b", witnesses=tuple(witnesses), intersection=inter)
 
 
 def minimal_empty_l(
@@ -255,14 +227,15 @@ class DensityTable:
 
     counts[j] is the number of processed primes whose exponent set contained
     n = 2*(j+1); processed counts all pairs and hits the total number of
-    exponent occurrences, so hits = sum(counts) always.
+    exponent occurrences, which is sum(counts).
     """
 
     p: int
     counts: tuple[int, ...]
     processed: int
-    hits: int
     last_l: int
+
+    hits = property(lambda self: sum(self.counts))
 
     def count_for(self, n: int) -> int:
         check_exponent(self.p, n)
@@ -292,21 +265,17 @@ def density_scan(
         raise ValueError("density_scan needs a count or a bound")
     counts = [0] * ((p - 3) // 2)
     processed = 0
-    hits = 0
     last_l = 0
     stream = split_primes(p, bound=bound, count=count)
     for rec in scan_pairs(p, stream, c=c, jobs=jobs, cache=cache):
         processed += 1
         last_l = rec.l
         if rec.expp:
-            hits += len(rec.expp)
             for n in rec.expp:
                 counts[n // 2 - 1] += 1
             if on_hit is not None:
-                on_hit(processed, hits, rec.l, tuple(counts))
-    return DensityTable(
-        p=p, counts=tuple(counts), processed=processed, hits=hits, last_l=last_l
-    )
+                on_hit(processed, sum(counts), rec.l, tuple(counts))
+    return DensityTable(p=p, counts=tuple(counts), processed=processed, last_l=last_l)
 
 
 def export_scan_csv(records: Iterable[ScanRecord], path: str | Path) -> None:

@@ -13,7 +13,7 @@ import pytest
 
 from primarity.bernoulli import b1_omega
 from primarity.jacobi import TwistContext, exponent_set, exponent_set_for, twist_product
-from primarity.modarith import multiplicative_order, split_primes
+from primarity.modarith import generator_test, split_primes
 from primarity.residue_symbols import classify_for, exact_jacobi_sum, exact_twist_component
 from primarity.spectra import derivation_check, distinct_trace_count, rank_scan, trace_polynomial
 from primarity.vandiver import density_scan, minimal_empty_l, scan_pairs
@@ -165,15 +165,14 @@ def test_criterion_08_property_suite():
     # choice independence of the exponent sets plus twist-product augmentation
     small = [5, 7, 11, 13, 17, 19, 23]
     pools = {p: list(split_primes(p, count=30)) for p in small}
-    roots = {p: [c for c in range(2, p - 1)
-                 if multiplicative_order(c, p) == p - 1] for p in small}
+    roots = {p: list(filter(generator_test(p), range(2, p - 1))) for p in small}
     for _ in range(500):
         p = rng.choice(small)
         l = rng.choice(pools[p])
         base = exponent_set_for(p, l).members
         c = rng.choice(roots[p])
         g = rng.randrange(2, l)
-        while multiplicative_order(g, l) != l - 1:
+        while not generator_test(l)(g):
             g = rng.randrange(2, l)
         ctx = TwistContext.build(p, l, c=c, g=g)
         assert twist_product(ctx).augmentation() == 1, (p, l, c)

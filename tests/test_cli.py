@@ -230,7 +230,7 @@ def test_jobs_do_not_change_bytes(tmp_path, capsys):
     rc, seq, _ = run(capsys, *symbol)
     assert rc == 0
     assert seq.count(" el=") == 2
-    rc, par, _ = run(capsys, *symbol, "--exact-jobs", "2")
+    rc, par, _ = run(capsys, *symbol, "--jobs", "2")
     assert rc == 0
     assert par == seq
 

@@ -13,6 +13,7 @@ from primarity.jacobi import (
     exponent_set,
     exponent_set_for,
     jacobi_sum,
+    pair_key,
     twist_product,
 )
 from primarity.modarith import build_log_table, primitive_root, split_primes
@@ -36,6 +37,20 @@ def test_context_build_validates_inputs():
     # 3 generates F_7* but 2 has order 3
     with pytest.raises(ValueError, match="not a primitive root"):
         TwistContext.build(7, 29, c=2)
+
+
+def test_pair_key_defaults_and_rejections():
+    assert pair_key(37, 149) == (37, 149, 2, 2)
+    assert pair_key(37, 149, c=5, g=3) == (37, 149, 5, 3)
+    bad = [((37, 149, 1), "c=1 out of range for p=37"),
+           ((37, 149, 36), "c=36 out of range for p=37"),
+           ((37, 149, 6), "c=6 is not a primitive root mod 37"),  # 6**2 = -1: order 4
+           ((37, 75), "l=75 is not prime"),
+           ((37, 151), "l=151 does not split: l % p = 3")]
+    for args, message in bad:
+        with pytest.raises(ValueError) as err:
+            pair_key(*args)
+        assert str(err.value) == message
 
 
 def test_context_defaults_pick_smallest_roots():

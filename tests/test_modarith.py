@@ -8,7 +8,6 @@ from primarity.modarith import (
     build_log_table,
     factorize,
     is_prime,
-    multiplicative_order,
     primitive_root,
     split_primes,
 )
@@ -66,9 +65,9 @@ def test_factorize_recomposes():
 def test_primitive_root_is_smallest_generator():
     for q in (3, 5, 7, 11, 13, 23, 149, 191, 3547):
         g = primitive_root(q)
-        assert multiplicative_order(g, q) == q - 1
+        assert multiplicative_order_naive(g, q) == q - 1
         for h in range(2, g):
-            assert multiplicative_order(h, q) < q - 1
+            assert multiplicative_order_naive(h, q) < q - 1
     assert primitive_root(2) == 1
     for q in (0, 1, 4, 9, 561):
         with pytest.raises(ValueError, match="not prime"):

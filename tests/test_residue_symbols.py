@@ -14,7 +14,6 @@ from primarity.residue_symbols import (
     SymbolCache,
     SymbolReport,
     _valuation,
-    build_report,
     classify,
     classify_for,
     exact_jacobi_sum,
@@ -396,17 +395,28 @@ def test_component_memory_guard_trips_on_tiny_budget():
         exact_twist_component(ctx, 2, limit=32)
 
 
-def test_build_report_classifications():
-    assert build_report(37, 32, 149, v=259, s=0, u=102).classification == "non_local_at_l"
-    assert build_report(37, 32, 32783, v=259, s=3, u=1).classification == "global"
-    assert build_report(37, 32, 149, v=259, s=None, u=5).classification == "local_at_p"
-    assert build_report(37, 32, 149, v=37 * 7, s=0, u=1).classification == "local_at_l"
-    rep = build_report(37, 32, 32783, v=259, s=3, u=1)
-    assert rep.lines() == [
-        "Sn local pth power at P",
-        "Sn local pth power at L",
-        "Sn GLOBAL pth power",
+def _report(v, s, u):
+    return SymbolReport(p=37, n=32, l=149, c=2, g=2, v=v, s=s, u=u)
+
+
+def test_symbol_report_classifications():
+    # (v, s, u) -> local at p, local at l, classification, verdict lines
+    cases = [
+        ((259, 0, 102), False, False, "non_local_at_l", ["Sn NON local pth power at L"]),
+        ((259, 3, 1), True, True, "global",
+         ["Sn local pth power at P", "Sn local pth power at L", "Sn GLOBAL pth power"]),
+        ((259, None, 5), True, False, "local_at_p",
+         ["Sn local pth power at P", "Sn NON local pth power at L"]),
+        ((37 * 7, 0, 1), False, True, "local_at_l", ["Sn local pth power at L"]),
     ]
+    for (v, s, u), at_p, at_l, cls, lines in cases:
+        rep = _report(v, s, u)
+        assert (rep.local_at_p, rep.local_at_l, rep.classification) == (at_p, at_l, cls)
+        assert rep.lines() == lines
+        assert rep.row() == [37, 32, 149, v, s, u, cls]
+        assert json.loads(rep.to_json())["classification"] == cls
+    # u = 1 with an l-content not divisible by p is not a local pth power at l
+    assert _report(259 + 1, 3, 1).classification == "local_at_p"
 
 
 def test_symbol_report_json_round_trip():
@@ -414,7 +424,8 @@ def test_symbol_report_json_round_trip():
     back = SymbolReport.from_json(rep.to_json())
     assert back == rep
     assert json.loads(rep.to_json())["s"] == 0
-    none_s = build_report(11, 2, 23, v=15, s=None, u=4)
+    none_s = SymbolReport(p=11, n=2, l=23, c=2, g=5, v=15, s=None, u=4)
+    assert json.loads(none_s.to_json())["s"] is None
     assert SymbolReport.from_json(none_s.to_json()) == none_s
 
 
@@ -427,8 +438,8 @@ def test_symbol_cache_round_trip(tmp_path):
     assert len(cache) == 1
     assert len(path.read_text().splitlines()) == 1
     again = SymbolCache(path)
-    assert again.get(37, 32, 149) == rep
-    assert again.get(37, 32, 223) is None
+    assert again.get(37, 32, 149, 2, 2) == rep
+    assert again.get(37, 32, 223, 2, 3) is None
 
 
 def test_classify_uses_the_context_generator():

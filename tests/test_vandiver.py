@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from primarity import vandiver
+from primarity import jacobi, vandiver
 from primarity.cli import main
 from primarity.jacobi import ExponentSet, exponent_set_for
 from primarity.modarith import is_prime, split_primes
@@ -53,6 +53,18 @@ def test_criterion_a_can_fail_for_one_pair():
     assert not v.holds
     assert 32 in v.intersection
     assert v.status() == "not established"
+    assert json.loads(v.to_json()) == {
+        "p": 37, "mode": "a", "holds": False, "steps": 1,
+        "witnesses": [32783], "intersection": [32],
+        "regular": False, "undetermined": False,
+    }
+
+
+def test_failing_criterion_a_exits_3(capsys):
+    assert main(["vandiver", "--p", "37", "--mode", "a", "--l", "32783"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "p=37 mode=a l=32783 expp={32} e0={32} inter={32} status=not established\n"
+    assert err == ""
 
 
 def test_criterion_a_picks_first_split_prime():
@@ -99,13 +111,8 @@ def test_criterion_b_rejects_bad_budget_and_empty_stream():
 
 
 def test_verdict_invariants():
-    empty = ExponentSet(11, ())
-    with pytest.raises(ValueError, match="nonempty"):
-        CriterionVerdict(p=11, mode="b", witnesses=(23,),
-                         intersection=ExponentSet(11, (2,)), holds=True, steps=1)
     with pytest.raises(ValueError, match="without witnesses"):
-        CriterionVerdict(p=11, mode="b", witnesses=(),
-                         intersection=empty, holds=True, steps=0)
+        CriterionVerdict(p=11, mode="b", witnesses=(), intersection=ExponentSet(11, ()))
 
 
 def test_verdict_json_shape():
@@ -208,7 +215,8 @@ def test_density_scan_on_hit_events():
 
 
 def test_density_table_accessors():
-    table = DensityTable(p=37, counts=tuple(range(17)), processed=9, hits=5, last_l=149)
+    table = DensityTable(p=37, counts=tuple(range(17)), processed=9, last_l=149)
+    assert table.hits == sum(range(17))
     assert table.count_for(2) == 0
     assert table.count_for(34) == 16
     assert table.render_vector() == "[" + ",".join(str(v) for v in range(17)) + "]"
@@ -318,7 +326,7 @@ def test_a_bad_l_is_rejected_before_its_primitive_root(monkeypatch, capsys, cmd)
     def refuse(q):
         raise AssertionError(f"primitive_root({q}) was called")
 
-    monkeypatch.setattr(vandiver, "primitive_root", refuse)
+    monkeypatch.setattr(jacobi, "primitive_root", refuse)
     assert main([*cmd, "--p", "37", "--c", "2", "--l", "2000000000000075"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == "error: l=2000000000000075 is not prime\n"
