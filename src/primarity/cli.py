@@ -9,15 +9,19 @@ diffed against published tables; json and csv are the machine interfaces.
 Configuration precedence: command-line flag, then environment variable,
 then built-in default.  Recognized variables: PRIMARITY_JOBS (worker
 processes of whichever route the subcommand runs), PRIMARITY_CACHE_DIR,
-PRIMARITY_FORMAT.
+PRIMARITY_FORMAT.  main resolves jobs, cache_dir, format and resume onto
+the parsed namespace once, for every subcommand, and each handler reads
+only that namespace.
 
 Exit codes: 0 success (criterion established where one was asked), 2
 invalid input or resource refusal, 3 criterion undetermined at the given
-bounds, 4 I/O failure.  Input rejected on the first record leaves stdout
-empty.  Caches are JSON-lines files under --cache-dir; loading an existing
-cache requires --resume, which replays cached records verbatim and makes
-reruns byte-identical.  trace computes every R_l, a single --l included,
-by the cyclotomic-number route of spectra.
+bounds, 4 I/O failure.  Record streams are printed by _emit, which computes
+the first record before it prints anything, a text title included, so
+input rejected on the first record leaves stdout empty.  Caches are
+JSON-lines files under --cache-dir; loading an existing cache requires
+--resume, which replays cached records verbatim and makes reruns
+byte-identical.  trace computes every R_l, a single --l included, by the
+cyclotomic-number route of spectra.
 """
 
 from __future__ import annotations
@@ -26,12 +30,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
 from typing import Iterator
 
-from .jacobi import check_exponent, check_pair
+from .jacobi import check_exponent
 from .modarith import is_prime, split_primes
 from .records import ordered_map, write_csv
 from .residue_symbols import SymbolCache, SymbolReport, symbol_key, symbol_report
@@ -47,69 +50,29 @@ from .vandiver import (
     scan_pairs,
 )
 
-_ENV_PREFIX = "PRIMARITY_"
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved plumbing options shared by all subcommands."""
-
-    jobs: int
-    cache_dir: str | None
-    format: str
-    resume: bool
-
-    @classmethod
-    def resolve(cls, args: argparse.Namespace) -> "RunConfig":
-        """Apply the flag > environment > default precedence."""
-        jobs = _pick_int(getattr(args, "jobs", None), "JOBS", 1)
-        if jobs < 1:
-            raise ValueError("worker counts must be at least 1")
-        cache_dir = getattr(args, "cache_dir", None) or os.environ.get(
-            _ENV_PREFIX + "CACHE_DIR"
-        )
-        fmt = getattr(args, "format", None) or os.environ.get(
-            _ENV_PREFIX + "FORMAT", "text"
-        )
-        if fmt not in ("text", "json", "csv"):
-            raise ValueError(f"unknown format {fmt!r}")
-        return cls(
-            jobs=jobs,
-            cache_dir=cache_dir,
-            format=fmt,
-            resume=bool(getattr(args, "resume", False)),
-        )
-
-
-def _pick_int(flag_value: int | None, env_name: str, default: int) -> int:
-    if flag_value is not None:
-        return flag_value
-    raw = os.environ.get(_ENV_PREFIX + env_name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{_ENV_PREFIX}{env_name}={raw!r} is not an integer") from None
-
-
-def _open_cache(cfg: RunConfig, filename: str, factory):
+def _open_cache(args: argparse.Namespace, filename: str, factory):
     """Cache handle under --cache-dir, guarded by the --resume latch."""
-    if cfg.cache_dir is None:
+    if args.cache_dir is None:
         return None
-    path = Path(cfg.cache_dir) / filename
-    if path.exists() and path.stat().st_size > 0 and not cfg.resume:
+    path = Path(args.cache_dir) / filename
+    if path.exists() and path.stat().st_size > 0 and not args.resume:
         raise ValueError(f"cache {path} exists; pass --resume to reuse it")
     return factory(path)
 
 
+def _check_p(p: int, least: int) -> None:
+    """Raise ValueError unless p is a prime >= least."""
+    if not is_prime(p) or p < least:
+        kind = "an odd prime" if least == 3 else f"a prime >= {least}"
+        raise ValueError(f"p={p} is not {kind}")
+
+
 def _prime_range(args: argparse.Namespace) -> Iterator[int]:
     """Primes from --p to --p-max, checked when the iteration starts."""
-    p = args.p
-    if not is_prime(p) or p < 3:
-        raise ValueError(f"p={p} is not an odd prime")
-    p_max = p if args.p_max is None else args.p_max
-    yield from (q for q in range(p, p_max + 1) if is_prime(q))
+    _check_p(args.p, 3)
+    p_max = args.p if args.p_max is None else args.p_max
+    yield from (q for q in range(args.p, p_max + 1) if is_prime(q))
 
 
 def _l_stream(args: argparse.Namespace, p: int):
@@ -119,19 +82,32 @@ def _l_stream(args: argparse.Namespace, p: int):
     return split_primes(p, bound=args.l_max, count=count)
 
 
-def _emit(cfg: RunConfig, header: tuple[str, ...], records, text=None) -> None:
+def _l_or_l_max(args: argparse.Namespace):
+    """The --l pair alone, or the split primes of --p up to --l-max."""
+    if args.l is not None:
+        return [args.l]
+    if args.l_max is None:
+        raise ValueError(f"{args.command} needs --l or --l-max")
+    return split_primes(args.p, bound=args.l_max)
+
+
+def _emit(args: argparse.Namespace, header: tuple[str, ...], records, text=None,
+          title: str | None = None) -> None:
     """Print records as text lines, JSON lines, or CSV rows under header.
 
-    The first record is computed before anything is printed, so input
-    rejected on the first record leaves stdout empty.
+    The first record is computed before anything is printed, the text
+    title included, so input rejected on the first record leaves stdout
+    empty.
     """
     records = iter(records)
     records = chain(list(islice(records, 1)), records)
-    if cfg.format == "csv":
+    if args.format == "csv":
         write_csv(sys.stdout, header, (rec.row() for rec in records))
         return
+    if title is not None and args.format == "text":
+        print(title)
     for rec in records:
-        print(rec.to_json() if cfg.format == "json" else text(rec))
+        print(rec.to_json() if args.format == "json" else text(rec))
 
 
 def _expp_text(rec: ScanRecord) -> str:
@@ -139,17 +115,17 @@ def _expp_text(rec: ScanRecord) -> str:
     return line + " expp:" + ",".join(str(n) for n in rec.expp) if rec.expp else line
 
 
-def cmd_expp(args: argparse.Namespace, cfg: RunConfig) -> int:
-    cache = _open_cache(cfg, "scan.jsonl", ScanCache)
+def cmd_expp(args: argparse.Namespace) -> int:
+    cache = _open_cache(args, "scan.jsonl", ScanCache)
     records = chain.from_iterable(
-        scan_pairs(p, _l_stream(args, p), c=args.c, jobs=cfg.jobs, cache=cache)
+        scan_pairs(p, _l_stream(args, p), c=args.c, jobs=args.jobs, cache=cache)
         for p in _prime_range(args))
-    _emit(cfg, ScanRecord.CSV_HEADER, records, _expp_text)
+    _emit(args, ScanRecord.CSV_HEADER, records, _expp_text)
     return 0
 
 
-def cmd_vandiver(args: argparse.Namespace, cfg: RunConfig) -> int:
-    cache = _open_cache(cfg, "scan.jsonl", ScanCache)
+def cmd_vandiver(args: argparse.Namespace) -> int:
+    cache = _open_cache(args, "scan.jsonl", ScanCache)
     unmet: list[int] = []
 
     def verdicts():
@@ -159,69 +135,64 @@ def cmd_vandiver(args: argparse.Namespace, cfg: RunConfig) -> int:
             else:
                 steps = DEFAULT_MAX_STEPS if args.count is None else args.count
                 verdict = criterion_b(p, stream=split_primes(p, bound=args.l_max),
-                                      max_steps=steps, c=args.c, jobs=cfg.jobs, cache=cache)
+                                      max_steps=steps, c=args.c, jobs=args.jobs, cache=cache)
             if not verdict.holds:
                 unmet.append(p)
             yield verdict
 
-    _emit(cfg, CriterionVerdict.CSV_HEADER, verdicts(), CriterionVerdict.render)
+    _emit(args, CriterionVerdict.CSV_HEADER, verdicts(), CriterionVerdict.render)
     return 3 if unmet else 0
 
 
-def cmd_scan(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_scan(args: argparse.Namespace) -> int:
     p = args.p
-    if not is_prime(p) or p < 5:
-        raise ValueError(f"p={p} is not a prime >= 5")
+    _check_p(p, 5)
     if args.count is None and args.l_max is None:
         raise ValueError("scan needs --count or --l-max")
-    cache = _open_cache(cfg, "scan.jsonl", ScanCache)
-    if cfg.format == "text":
+    cache = _open_cache(args, "scan.jsonl", ScanCache)
+    if args.format == "text":
         def on_hit(processed: int, hits: int, l: int, counts: tuple[int, ...]) -> None:
             print(f"{processed} {hits} {l} [" + ",".join(str(v) for v in counts) + "]")
 
         table = density_scan(p, count=args.count, bound=args.l_max, c=args.c,
-                             jobs=cfg.jobs, cache=cache, on_hit=on_hit)
+                             jobs=args.jobs, cache=cache, on_hit=on_hit)
         print(f"p={p} processed={table.processed} hits={table.hits} "
               f"last={table.last_l} counts={table.render_vector()}")
         return 0
     stream = split_primes(p, bound=args.l_max, count=args.count)
-    _emit(cfg, ScanRecord.CSV_HEADER,
-          scan_pairs(p, stream, c=args.c, jobs=cfg.jobs, cache=cache))
+    _emit(args, ScanRecord.CSV_HEADER,
+          scan_pairs(p, stream, c=args.c, jobs=args.jobs, cache=cache))
     return 0
 
 
-def cmd_rank(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_rank(args: argparse.Namespace) -> int:
     p = args.p
-    if not is_prime(p) or p < 7:
-        raise ValueError(f"p={p} must be a prime >= 7 for a meaningful rank scan")
-    stream = split_primes(p, bound=args.l_max) if args.l_max else None
+    _check_p(p, 7)
+    stream = None if args.l_max is None else split_primes(p, bound=args.l_max)
     reached, lp, history = rank_scan(p, stream=stream, c=args.c)
     rank = history[-1][1] if history else 0
-    if cfg.format == "json":
+    if args.format == "json":
         print(json.dumps({"p": p, "r": rank, "elp": lp,
                           "history": [list(h) for h in history]}))
-    elif cfg.format == "csv":
+    elif args.format == "csv":
         write_rank_csv(p, history, sys.stdout)
     else:
         print(f"p={p} r={rank} elp={lp if reached else '-'}")
     return 0
 
 
-def cmd_trace(args: argparse.Namespace, cfg: RunConfig) -> int:
-    p = args.p
-    if args.l is None and args.l_max is None:
-        raise ValueError("trace needs --l or --l-max")
-    cache = _open_cache(cfg, "trace.jsonl", TraceCatalog)
-    ls = [args.l] if args.l is not None else split_primes(p, bound=args.l_max)
+def cmd_trace(args: argparse.Namespace) -> int:
+    ls = _l_or_l_max(args)
+    cache = _open_cache(args, "trace.jsonl", TraceCatalog)
     distinct: set[tuple[int, ...]] = set()
 
     def text(tp: TracePolynomial) -> str:
         distinct.add(tp.coeffs)
         return f"el={tp.l} f={tp.residue_degree} R={tp.render()}"
 
-    _emit(cfg, TracePolynomial.CSV_HEADER, trace_stream(p, ls, cache=cache), text)
-    if args.l is None and cfg.format == "text":
-        print(f"p={p} distinct={len(distinct)}")
+    _emit(args, TracePolynomial.CSV_HEADER, trace_stream(args.p, ls, cache=cache), text)
+    if args.l is None and args.format == "text":
+        print(f"p={args.p} distinct={len(distinct)}")
     return 0
 
 
@@ -229,42 +200,50 @@ def _symbol_text(rep: SymbolReport) -> str:
     return "\n".join([f"p={rep.p} el={rep.l} v={rep.v} u={rep.u}", *rep.lines()])
 
 
-def cmd_symbol(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_symbol(args: argparse.Namespace) -> int:
     p, n = args.p, args.n
-    if not is_prime(p) or p < 5:
-        raise ValueError(f"p={p} is not a prime >= 5")
+    _check_p(p, 5)
     check_exponent(p, n)
-    if args.l is None and args.l_max is None:
-        raise ValueError("symbol needs --l or --l-max")
-    if args.l is not None:
-        check_pair(p, args.l)
-    cache = _open_cache(cfg, "symbols.jsonl", SymbolCache)
-    ls = [args.l] if args.l is not None else split_primes(p, bound=args.l_max)
-    if cfg.format == "text":
-        print(f"p={p} n={n}")
+    ls = _l_or_l_max(args)
+    cache = _open_cache(args, "symbols.jsonl", SymbolCache)
     keys = (symbol_key(p, n, l, args.c) for l in ls)
-    jobs = cfg.jobs if args.l is None else 1  # no pool for a single row
-    _emit(cfg, SymbolReport.CSV_HEADER,
-          ordered_map(symbol_report, keys, jobs, cache), _symbol_text)
+    jobs = args.jobs if args.l is None else 1  # no pool for a single row
+    _emit(args, SymbolReport.CSV_HEADER, ordered_map(symbol_report, keys, jobs, cache),
+          _symbol_text, title=f"p={p} n={n}")
     return 0
 
 
-def _add_flags(sp: argparse.ArgumentParser, *names: str) -> None:
-    flags = {
-        "p": dict(type=int, required=True, help="base prime p"),
-        "p-max": dict(type=int, help="scan primes p..p-max"),
-        "l": dict(type=int, help="explicit split prime l"),
-        "l-max": dict(type=int, help="bound on split primes l"),
-        "count": dict(type=int, help="how many split primes to process"),
-        "c": dict(type=int, help="twist parameter (default: smallest primitive root)"),
-        "n": dict(type=int, required=True, help="even exponent n in [2, p-3]"),
-        "jobs": dict(type=int, help="worker processes (env PRIMARITY_JOBS)"),
-        "cache-dir": dict(help="directory for JSON-lines caches (env PRIMARITY_CACHE_DIR)"),
-        "format": dict(choices=("text", "json", "csv"), help="output format (env PRIMARITY_FORMAT)"),
-        "resume": dict(action="store_true", help="reuse an existing cache file"),
-    }
-    for name in names:
-        sp.add_argument(f"--{name}", **flags[name])
+_FLAGS = {
+    "mode": dict(choices=("a", "b"), default="b", help="criterion variant (default b)"),
+    "p": dict(type=int, required=True, help="base prime p"),
+    "p-max": dict(type=int, help="scan primes p..p-max"),
+    "l": dict(type=int, help="explicit split prime l"),
+    "l-max": dict(type=int, help="bound on split primes l"),
+    "count": dict(type=int, help="how many split primes to process"),
+    "c": dict(type=int, help="twist parameter (default: smallest primitive root)"),
+    "n": dict(type=int, required=True, help="even exponent n in [2, p-3]"),
+    "jobs": dict(type=int, help="worker processes (env PRIMARITY_JOBS)"),
+    "cache-dir": dict(help="directory for JSON-lines caches (env PRIMARITY_CACHE_DIR)"),
+    "format": dict(choices=("text", "json", "csv"), help="output format (env PRIMARITY_FORMAT)"),
+    "resume": dict(action="store_true", help="reuse an existing cache file"),
+}
+
+_PLUMBING = ("jobs", "cache-dir", "format", "resume")
+
+_COMMANDS = (
+    ("expp", cmd_expp, "exponent sets of split primes",
+     ("p", "p-max", "l", "l-max", "count", "c", *_PLUMBING)),
+    ("vandiver", cmd_vandiver, "criterion (a)/(b) verdicts",
+     ("mode", "p", "p-max", "l", "l-max", "count", "c", *_PLUMBING)),
+    ("scan", cmd_scan, "density tally over split primes",
+     ("p", "l-max", "count", "c", *_PLUMBING)),
+    ("rank", cmd_rank, "rank milestone of Jacobi-sum vectors",
+     ("p", "l-max", "c", "format")),
+    ("trace", cmd_trace, "Gaussian period trace polynomials",
+     ("p", "l", "l-max", "cache-dir", "format", "resume")),
+    ("symbol", cmd_symbol, "exact pth-power classification",
+     ("p", "n", "l", "l-max", "c", *_PLUMBING)),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,50 +251,35 @@ def build_parser() -> argparse.ArgumentParser:
         prog="primarity",
         description="Vandiver criterion checks via Jacobi-sum twists of Gauss sums.",
     )
+    # subcommands without a plumbing flag still read its environment variable
+    parser.set_defaults(jobs=None, cache_dir=None, format=None, resume=False)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("expp", help="exponent sets of split primes")
-    _add_flags(sp, "p", "p-max", "l", "l-max", "count", "c", "jobs",
-               "cache-dir", "format", "resume")
-    sp.set_defaults(func=cmd_expp)
-
-    sp = sub.add_parser("vandiver", help="criterion (a)/(b) verdicts")
-    sp.add_argument("--mode", choices=("a", "b"), default="b",
-                    help="criterion variant (default b)")
-    _add_flags(sp, "p", "p-max", "l", "l-max", "count", "c", "jobs",
-               "cache-dir", "format", "resume")
-    sp.set_defaults(func=cmd_vandiver)
-
-    sp = sub.add_parser("scan", help="density tally over split primes")
-    _add_flags(sp, "p", "l-max", "count", "c", "jobs",
-               "cache-dir", "format", "resume")
-    sp.set_defaults(func=cmd_scan)
-
-    sp = sub.add_parser("rank", help="rank milestone of Jacobi-sum vectors")
-    _add_flags(sp, "p", "l-max", "c", "format")
-    sp.set_defaults(func=cmd_rank)
-
-    sp = sub.add_parser("trace", help="Gaussian period trace polynomials")
-    _add_flags(sp, "p", "l", "l-max", "cache-dir", "format", "resume")
-    sp.set_defaults(func=cmd_trace)
-
-    sp = sub.add_parser("symbol", help="exact pth-power classification")
-    _add_flags(sp, "p", "n", "l", "l-max", "c", "jobs",
-               "cache-dir", "format", "resume")
-    sp.set_defaults(func=cmd_symbol)
-
+    for name, handler, help_text, flags in _COMMANDS:
+        sp = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            sp.add_argument(f"--{flag}", **_FLAGS[flag])
+        sp.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig.resolve(args)
-        return args.func(args, cfg)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError as exc:
+        # flag, then environment variable, then default
+        if args.jobs is None:
+            raw = os.environ.get("PRIMARITY_JOBS", "1")
+            try:
+                args.jobs = int(raw)
+            except ValueError:
+                raise ValueError(f"PRIMARITY_JOBS={raw!r} is not an integer") from None
+        if args.jobs < 1:
+            raise ValueError("worker counts must be at least 1")
+        args.cache_dir = args.cache_dir or os.environ.get("PRIMARITY_CACHE_DIR")
+        args.format = args.format or os.environ.get("PRIMARITY_FORMAT", "text")
+        if args.format not in ("text", "json", "csv"):
+            raise ValueError(f"unknown format {args.format!r}")
+        return args.func(args)
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -39,7 +39,7 @@ from .jacobi import TwistContext, check_exponent, jacobi_counts, pair_key
 from .modarith import factorize, is_prime, primitive_root
 from .records import JsonlStore
 
-DEFAULT_MEMORY_LIMIT = 1 << 30  # bytes of coefficient storage
+MEMORY_LIMIT = 1 << 30  # bytes of coefficient storage
 _MODULUS_CAP = 1 << 28  # products of two residues stay below 2**56
 _CHUNK = 16  # moduli per numpy pass: (16, p, p) int64 is 175 KB at p = 37
 
@@ -185,16 +185,14 @@ def _crt_signed(residues: np.ndarray, qs: tuple[int, ...]) -> list[int]:
     return [(v + half) % M - half for v in nodes[0][0]]
 
 
-def exact_twist_component(
-    ctx: TwistContext, n: int, limit: int | None = DEFAULT_MEMORY_LIMIT
-) -> CycBigInt:
+def exact_twist_component(ctx: TwistContext, n: int) -> CycBigInt:
     """S_n = prod_{a=1}^{p-1} sigma_a(J**(a**(n-1) mod p)), exactly.
 
     The full range a = 1 .. p-1 is deliberate: it makes S_n the square of
     the mod-p convention and keeps the norm a clean power of l.  Raises
     MemoryError before any work when the height bound allows coefficients
-    of more than limit bytes (None disables the check), or when the primes
-    below 2**28 are too few to carry them.
+    of more than MEMORY_LIMIT bytes, or when the primes below 2**28 are too
+    few to carry them.
     """
     p, l = ctx.p, ctx.l
     check_exponent(p, n)
@@ -203,9 +201,9 @@ def exact_twist_component(
     # chi**(i+1) are nontrivial for i <= c-1 <= p-3; so |tau(S_n)| = B with
     # B**2 = l**height, and T_k below gives |coefficient| < 2B
     height = (ctx.c - 1) * int(e.sum())
-    too_big = MemoryError(f"coefficients exceed the {limit} byte budget for p={p}")
+    too_big = MemoryError(f"coefficients exceed the {MEMORY_LIMIT} byte budget for p={p}")
     bits = (height * l.bit_length() + 1) // 2 + 1  # bits of 2B, rounded up
-    if limit is not None and (p - 1) * bits // 8 > limit:
+    if (p - 1) * bits // 8 > MEMORY_LIMIT:
         raise too_big
     chunks = _moduli_above(p, 16 * l**height)  # M > 4B recovers signs
     if chunks is None:
@@ -385,9 +383,9 @@ def symbol_key(p: int, n: int, l: int, c: int | None = None,
     return p, n, l, c, g
 
 
-def classify(ctx: TwistContext, n: int, limit: int | None = DEFAULT_MEMORY_LIMIT) -> SymbolReport:
+def classify(ctx: TwistContext, n: int) -> SymbolReport:
     """Build the exact component and classify it as a pth power."""
-    S = exact_twist_component(ctx, n, limit=limit)
+    S = exact_twist_component(ctx, n)
     s = min_p_valuation(S.minus_one(), ctx.p)
     v, reduced = l_content(S, ctx.l)
     u = residue_symbol(reduced, ctx.l, ctx.g)
@@ -395,12 +393,10 @@ def classify(ctx: TwistContext, n: int, limit: int | None = DEFAULT_MEMORY_LIMIT
 
 
 def classify_for(
-    p: int, l: int, n: int,
-    c: int | None = None, g: int | None = None,
-    limit: int | None = DEFAULT_MEMORY_LIMIT,
+    p: int, l: int, n: int, c: int | None = None, g: int | None = None
 ) -> SymbolReport:
     """Convenience wrapper building the context and discarding it."""
-    return classify(TwistContext.build(p, l, c=c, g=g), n, limit=limit)
+    return classify(TwistContext.build(p, l, c=c, g=g), n)
 
 
 def symbol_report(key: tuple[int, int, int, int, int]) -> SymbolReport:

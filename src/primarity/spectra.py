@@ -22,7 +22,6 @@ import json
 import math
 from dataclasses import dataclass
 from operator import attrgetter
-from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -114,12 +113,6 @@ def write_rank_csv(p: int, history: Iterable[tuple[int, int]], fh) -> None:
     """Rank history as CSV; the ratio column l / (p**2 log p**2) is derived."""
     scale = p * p * math.log(p * p)
     write_csv(fh, ("l", "rank", "ratio"), ([l, r, f"{l / scale:.4f}"] for l, r in history))
-
-
-def export_rank_csv(p: int, history: Iterable[tuple[int, int]], path: str | Path) -> None:
-    """Rank history as a CSV file, as write_rank_csv writes it."""
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        write_rank_csv(p, history, fh)
 
 
 @dataclass(frozen=True)

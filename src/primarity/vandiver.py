@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Iterator
 from .bernoulli import irregularity_report
 from .jacobi import ExponentSet, check_exponent, exponent_set_for, pair_key
 from .modarith import split_primes
-from .records import JsonlStore, ordered_map, write_csv
+from .records import JsonlStore, ordered_map
 
 DEFAULT_MAX_STEPS = 64
 
@@ -276,9 +276,3 @@ def density_scan(
             if on_hit is not None:
                 on_hit(processed, sum(counts), rec.l, tuple(counts))
     return DensityTable(p=p, counts=tuple(counts), processed=processed, last_l=last_l)
-
-
-def export_scan_csv(records: Iterable[ScanRecord], path: str | Path) -> None:
-    """Write scan records as CSV with the exponent set comma-joined."""
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        write_csv(fh, ScanRecord.CSV_HEADER, (rec.row() for rec in records))

@@ -106,6 +106,12 @@ def test_rank_unreached_bound(capsys):
     assert out == "p=7 r=2 elp=-\n"
 
 
+def test_rank_l_max_zero_scans_no_prime(capsys):
+    rc, out, _ = run(capsys, "rank", "--p", "7", "--l-max", "0")
+    assert rc == 0
+    assert out == "p=7 r=0 elp=-\n"
+
+
 def test_rank_csv_history(capsys):
     rc, out, _ = run(capsys, "rank", "--p", "7", "--format", "csv")
     lines = out.splitlines()
@@ -114,7 +120,7 @@ def test_rank_csv_history(capsys):
     assert lines[-1].split(",")[:2] == ["113", "3"]
 
 
-def test_trace_single_pair_uses_dense_reference(capsys):
+def test_trace_single_pair(capsys):
     rc, out, _ = run(capsys, "trace", "--p", "7", "--l", "29")
     assert rc == 0
     assert out == "el=29 f=7 R=x^7 + x^6 + 2*x^5 + 5*x + 1\n"
@@ -147,10 +153,14 @@ def test_symbol_rejects_odd_exponent_before_output(capsys):
     assert "must be even" in err
 
 
-@pytest.mark.parametrize("l,msg", [("150", "l=150 is not prime"), ("151", "l=151 does not split")],
-                         ids=["composite", "nonsplit"])
-def test_symbol_rejects_a_bad_l_before_the_title(capsys, l, msg):
-    rc, out, err = run(capsys, "symbol", "--p", "37", "--n", "32", "--l", l)
+@pytest.mark.parametrize("argv,msg", [
+    (("--l", "150"), "l=150 is not prime"),
+    (("--l", "151"), "l=151 does not split"),
+    (("--l", "149", "--c", "6"), "c=6 is not a primitive root mod 37"),
+    (("--l", "149", "--c", "36"), "c=36 out of range for p=37"),
+], ids=["composite", "nonsplit", "c-not-primitive", "c-out-of-range"])
+def test_symbol_rejects_a_bad_l_before_the_title(capsys, argv, msg):
+    rc, out, err = run(capsys, "symbol", "--p", "37", "--n", "32", *argv)
     assert (rc, out) == (2, "")
     assert msg in err
 
@@ -327,6 +337,8 @@ def _mask_ms(out):
      '37,32,223,259,0,132,non_local_at_l\r\n'),
     (("vandiver", "--p", "11", "--p-max", "13", "--mode", "a", "--format", "csv"),
      'p,mode,holds,steps,witnesses,intersection\r\n11,a,True,1,23,\r\n13,a,True,1,53,\r\n'),
+    (("rank", "--p", "7", "--format", "csv"),
+     'l,rank,ratio\r\n29,1,0.1521\r\n43,2,0.2255\r\n71,2,0.3723\r\n113,3,0.5926\r\n'),
 ])
 def test_machine_formats_are_byte_exact(capsys, argv, want):
     rc, out, _ = run(capsys, *argv)

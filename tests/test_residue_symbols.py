@@ -77,9 +77,10 @@ def test_component_memory_guard_raises_before_any_work(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(residue_symbols, "jacobi_counts", no_work)
         m.setattr(residue_symbols, "_moduli", no_work)
+        m.setattr(residue_symbols, "MEMORY_LIMIT", 32)
         with pytest.raises(MemoryError, match="exceed the 32 byte budget for p=11"):
-            exact_twist_component(ctx, 2, limit=32)
-    assert exact_twist_component(ctx, 2, limit=None).coeffs == ALPHA11_COEFFS
+            exact_twist_component(ctx, 2)
+    assert exact_twist_component(ctx, 2).coeffs == ALPHA11_COEFFS
 
 
 def test_component_raises_when_the_moduli_run_out(monkeypatch):
@@ -90,7 +91,7 @@ def test_component_raises_when_the_moduli_run_out(monkeypatch):
     residue_symbols._moduli.cache_clear()
     try:
         with pytest.raises(MemoryError, match="byte budget for p=11"):
-            exact_twist_component(TwistContext.build(11, 23), 2, limit=None)
+            exact_twist_component(TwistContext.build(11, 23), 2)
         ctx = TwistContext.build(5, 11)
         assert residue_symbols._moduli_above(5, 16 * 11**_height(5, 2, 2))[0][0] == (61, 41, 31, 11)
         J = _exact_twist_naive(ctx)
@@ -387,12 +388,6 @@ def test_symbol_rows_for_p37_n32(l):
     assert rep.classification == "non_local_at_l"
     assert rep.lines() == ["Sn NON local pth power at L"]
     assert flags == ("non_local_at_L",)
-
-
-def test_component_memory_guard_trips_on_tiny_budget():
-    ctx = TwistContext.build(11, 23)
-    with pytest.raises(MemoryError):
-        exact_twist_component(ctx, 2, limit=32)
 
 
 def _report(v, s, u):

@@ -15,7 +15,6 @@ from primarity.spectra import (
     conjugate_rank,
     derivation_check,
     distinct_trace_count,
-    export_rank_csv,
     heuristic_probability,
     rank_scan,
     residue_degree,
@@ -109,16 +108,6 @@ def test_rank_scan_milestones_large(p, want):
     assert reached
     assert l_p == want
     assert history[-1] == (want, p - 4)
-
-
-def test_export_rank_csv(tmp_path):
-    path = tmp_path / "rank.csv"
-    export_rank_csv(7, [(29, 1), (113, 3)], path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "l,rank,ratio"
-    assert lines[1].startswith("29,1,0.")
-    # ratio = l / (p^2 ln p^2)
-    assert lines[2] == "113,3,0.5926"
 
 
 @pytest.mark.parametrize("l,row", sorted(TRACE7.items()))

@@ -16,7 +16,6 @@ from primarity.vandiver import (
     criterion_a,
     criterion_b,
     density_scan,
-    export_scan_csv,
     minimal_empty_l,
     scan_pairs,
 )
@@ -286,18 +285,6 @@ def test_criteria_hold_for_every_prime_from_211_to_997(tmp_path):
         if not verdict.regular:
             irregular.append(p)
     assert irregular == IRREGULAR_200_1000
-
-
-def test_export_scan_csv(tmp_path):
-    path = tmp_path / "out.csv"
-    recs = [ScanRecord(p=11, l=23, c=2, g=5, expp=(2,), ms=1),
-            ScanRecord(p=11, l=67, c=2, g=2, expp=(), ms=2)]
-    export_scan_csv(recs, path)
-    assert path.read_text().splitlines() == [
-        "p,l,c,g,expp,ms",
-        "11,23,2,5,2,1",
-        "11,67,2,2,,2",
-    ]
 
 
 def _count_sets(monkeypatch):
