@@ -11,7 +11,8 @@ then built-in default.  Recognized variables: PRIMARITY_JOBS (worker
 processes of whichever route the subcommand runs), PRIMARITY_CACHE_DIR,
 PRIMARITY_FORMAT.  main resolves jobs, cache_dir, format and resume onto
 the parsed namespace once, for every subcommand, and each handler reads
-only that namespace.
+only that namespace.  The parser itself is built once per process, on the
+first call of main, and every call parses into a fresh namespace.
 
 Exit codes: 0 success (criterion established where one was asked), 2
 invalid input or resource refusal, 3 criterion undetermined at the given
@@ -27,6 +28,7 @@ cyclotomic-number route of spectra.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -246,6 +248,7 @@ _COMMANDS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="primarity",

@@ -191,8 +191,8 @@ def exact_twist_component(ctx: TwistContext, n: int) -> CycBigInt:
     The full range a = 1 .. p-1 is deliberate: it makes S_n the square of
     the mod-p convention and keeps the norm a clean power of l.  Raises
     MemoryError before any work when the height bound allows coefficients
-    of more than MEMORY_LIMIT bytes, or when the primes below 2**28 are too
-    few to carry them.
+    of more than MEMORY_LIMIT bytes, and MemoryError naming the moduli when
+    the primes q = 1 (mod 2p) below 2**28 are too few to carry them.
     """
     p, l = ctx.p, ctx.l
     check_exponent(p, n)
@@ -201,13 +201,14 @@ def exact_twist_component(ctx: TwistContext, n: int) -> CycBigInt:
     # chi**(i+1) are nontrivial for i <= c-1 <= p-3; so |tau(S_n)| = B with
     # B**2 = l**height, and T_k below gives |coefficient| < 2B
     height = (ctx.c - 1) * int(e.sum())
-    too_big = MemoryError(f"coefficients exceed the {MEMORY_LIMIT} byte budget for p={p}")
     bits = (height * l.bit_length() + 1) // 2 + 1  # bits of 2B, rounded up
     if (p - 1) * bits // 8 > MEMORY_LIMIT:
-        raise too_big
+        raise MemoryError(f"coefficients exceed the {MEMORY_LIMIT} byte budget for p={p}")
     chunks = _moduli_above(p, 16 * l**height)  # M > 4B recovers signs
     if chunks is None:
-        raise too_big
+        raise MemoryError(f"the primes q = 1 (mod {2 * p}) below 2**{_MODULUS_CAP.bit_length() - 1}"
+                          f" run out before their product carries the coefficients"
+                          f" for p={p}, l={l}")
     counts = np.stack([jacobi_counts(ctx, i) for i in range(1, ctx.c)], axis=1)
     r = np.arange(p)
     at_root = r[:, None] * r % p  # J_i(w**b) = -sum_e t_i[e] w**(b*e)

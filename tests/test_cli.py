@@ -1,11 +1,13 @@
 """Command line surface: formats, precedence, caches, exit codes."""
 
 import json
+import multiprocessing
 import re
 
 import pytest
 
-from primarity.cli import main
+from primarity import records
+from primarity.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -243,6 +245,52 @@ def test_jobs_do_not_change_bytes(tmp_path, capsys):
     rc, par, _ = run(capsys, *symbol, "--jobs", "2")
     assert rc == 0
     assert par == seq
+
+
+def test_p_range_starts_one_pool_and_keeps_the_bytes(capsys, monkeypatch):
+    starts = []
+
+    def counted(method):
+        starts.append(method)
+        return multiprocessing.get_context(method)
+
+    monkeypatch.setattr(records, "get_context", counted)
+    records._end_idle_pool()  # a pool left idle by an earlier test would be reused
+    argv = ("vandiver", "--p", "37", "--p-max", "79", "--mode", "b")
+    try:
+        rc, seq, _ = run(capsys, *argv, "--jobs", "1")
+        assert rc == 0
+        assert seq.count("\n") == 11  # the primes 37 .. 79
+        rc, par, _ = run(capsys, *argv, "--jobs", "2")
+        assert rc == 0
+        assert par == seq
+        assert starts == ["spawn"]
+    finally:
+        records._end_idle_pool()
+
+
+def test_parser_is_built_once_and_leaks_nothing_between_calls(capsys):
+    build_parser.cache_clear()
+    rc, out, _ = run(capsys, "vandiver", "--p", "37", "--mode", "a")
+    assert rc == 0
+    assert out.startswith("p=37 mode=a ")
+    rc, out, _ = run(capsys, "vandiver", "--p", "37")
+    assert rc == 0
+    assert out.startswith("p=37 mode=b ")
+    rc, out, _ = run(capsys, "expp", "--p", "53", "--l", "107", "--format", "json")
+    assert rc == 0
+    assert json.loads(out)["expp"] == [10, 34]
+    rc, out, _ = run(capsys, "expp", "--p", "53", "--l", "107")
+    assert rc == 0
+    assert out == "p=53 el=107 c=2 g=2 expp:10,34\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["vandiver", "--p", "37", "--mode", "c"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    rc, out, _ = run(capsys, "vandiver", "--p", "37", "--mode", "a")
+    assert rc == 0
+    assert out.startswith("p=37 mode=a ")
+    assert build_parser.cache_info().misses == 1
 
 
 def test_format_env_and_flag_precedence(capsys, monkeypatch):

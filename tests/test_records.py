@@ -41,24 +41,37 @@ def square(task):
 class FakePool:
     """Runs each task when its result is read; records what the fan-out asks."""
 
+    made = 0
+    interrupt_wait = False
+
     def __init__(self, jobs):
         self.calls = []
         self.in_flight = 0
         self.peak = 0
         FakePool.last = self
+        FakePool.made += 1
 
     def apply_async(self, fn, args):
         self.in_flight += 1
         self.peak = max(self.peak, self.in_flight)
+        done = []
 
         def get():
-            self.in_flight -= 1
-            return fn(*args)
+            if not done:
+                self.in_flight -= 1
+                done.append(fn(*args))
+            return done[0]
 
-        return SimpleNamespace(get=get)
+        def wait():
+            self.calls.append("wait")
+            if self.interrupt_wait:
+                raise KeyboardInterrupt
+            try:
+                get()
+            except Exception:
+                pass
 
-    def close(self):
-        self.calls.append("close")
+        return SimpleNamespace(get=get, wait=wait)
 
     def join(self):
         self.calls.append("join")
@@ -69,7 +82,10 @@ class FakePool:
 
 @pytest.fixture
 def fake_pool(monkeypatch):
+    # an empty idle slot: no real pool is reused here and no fake outlives the test
+    monkeypatch.setattr(records, "_idle", None)
     monkeypatch.setattr(records, "get_context", lambda method: SimpleNamespace(Pool=FakePool))
+    FakePool.made = 0
 
 
 def test_store_drops_a_torn_tail_and_cuts_it_before_the_next_append(tmp_path):
@@ -111,15 +127,80 @@ def test_pooled_map_keeps_order_and_bounds_work_in_flight(fake_pool, tmp_path):
     got = [r.sq for r in ordered_map(square, [(n,) for n in range(1, 9)], 3, store)]
     assert got == [1, 4, 9, -1, 25, 36, 49, 64]
     assert FakePool.last.peak == 3
-    assert FakePool.last.calls == ["close", "join"]
     assert len(store) == 8
 
 
-def test_pooled_map_terminates_on_early_close_and_on_error(fake_pool):
-    stream = ordered_map(square, [(n,) for n in range(1, 9)], 2)
-    assert next(stream).sq == 1
+def test_pooled_map_reuses_one_pool_across_streams(fake_pool):
+    for _ in range(3):
+        assert [r.sq for r in ordered_map(square, [(n,) for n in range(1, 6)], 2)] == \
+            [1, 4, 9, 16, 25]
+    assert FakePool.made == 1
+    assert FakePool.last.calls == []
+    assert records._idle == (2, FakePool.last)
+
+
+def test_pooled_map_waits_out_an_early_close_and_keeps_the_pool(fake_pool, tmp_path):
+    store = SquareStore(tmp_path / "sq.jsonl")
+    # 13 is in flight when the caller stops: waited for, but its error never comes up
+    stream = ordered_map(square, [(n,) for n in range(11, 20)], 3, store)
+    assert next(stream).sq == 121
+    pool = FakePool.last
+    assert pool.in_flight == 2
     stream.close()
-    assert FakePool.last.calls == ["terminate"]
-    with pytest.raises(ValueError, match="unlucky"):
-        list(ordered_map(square, [(n,) for n in range(10, 20)], 2))
-    assert FakePool.last.calls == ["terminate"]
+    assert pool.in_flight == 0
+    assert pool.calls == ["wait", "wait"]
+    assert len(store) == 1  # the results waited for are dropped
+    assert records._idle == (3, pool)
+    assert [r.sq for r in ordered_map(square, [(2,)], 3)] == [4]
+    assert FakePool.made == 1
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_pooled_map_terminates_and_drops_the_pool_on_error(fake_pool, error):
+    def failing(task):
+        if task == (3,):
+            raise error("stop")
+        return square(task)
+
+    with pytest.raises(error, match="stop"):
+        list(ordered_map(failing, [(n,) for n in range(1, 9)], 2))
+    broken = FakePool.last
+    assert broken.calls == ["terminate"]
+    assert records._idle is None
+    assert [r.sq for r in ordered_map(square, [(5,), (6,)], 2)] == [25, 36]
+    assert FakePool.made == 2
+    assert records._idle == (2, FakePool.last)
+
+
+def test_pooled_map_terminates_the_pool_when_the_wait_is_interrupted(fake_pool):
+    stream = ordered_map(square, [(n,) for n in range(1, 9)], 3)
+    next(stream)
+    pool = FakePool.last
+    pool.interrupt_wait = True
+    with pytest.raises(KeyboardInterrupt):
+        stream.close()
+    assert pool.calls == ["wait", "terminate"]
+    assert records._idle is None
+
+
+def test_pooled_map_replaces_an_idle_pool_of_another_size(fake_pool):
+    assert [r.sq for r in ordered_map(square, [(1,), (2,)], 2)] == [1, 4]
+    two = FakePool.last
+    assert [r.sq for r in ordered_map(square, [(1,), (2,)], 3)] == [1, 4]
+    assert FakePool.made == 2
+    assert two.calls == ["terminate"]
+    assert records._idle == (3, FakePool.last)
+
+
+def test_pooled_map_starts_its_own_pool_when_the_idle_one_is_checked_out(fake_pool):
+    outer = ordered_map(square, [(n,) for n in range(1, 6)], 2)
+    assert next(outer).sq == 1
+    first = FakePool.last
+    assert [r.sq for r in ordered_map(square, [(7,)], 2)] == [49]
+    second = FakePool.last
+    assert second is not first
+    assert records._idle == (2, second)
+    assert [r.sq for r in outer] == [4, 9, 16, 25]
+    # at most one idle pool: the one returned last stays, the other ends
+    assert second.calls == ["terminate", "join"]
+    assert records._idle == (2, first)
