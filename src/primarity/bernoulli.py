@@ -11,7 +11,6 @@ the irregular exponents of p (Kummer: B_{1, omega^(n-1)} = B_n / n mod p).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .jacobi import ExponentSet, check_exponent
@@ -62,15 +61,6 @@ class IrregularityReport:
 
     def exponent_set(self) -> ExponentSet:
         return ExponentSet(self.p, self.irregular_exponents)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "p": self.p,
-                "irregular_exponents": list(self.irregular_exponents),
-                "index": self.index,
-            }
-        )
 
 
 def irregularity_report(p: int) -> IrregularityReport:

@@ -36,7 +36,7 @@ from itertools import chain, islice
 from pathlib import Path
 from typing import Iterator
 
-from .jacobi import check_exponent
+from .jacobi import check_exponent, check_pair
 from .modarith import is_prime, split_primes
 from .records import ordered_map, write_csv
 from .residue_symbols import SymbolCache, SymbolReport, symbol_key, symbol_report
@@ -71,10 +71,14 @@ def _check_p(p: int, least: int) -> None:
 
 
 def _prime_range(args: argparse.Namespace) -> Iterator[int]:
-    """Primes from --p to --p-max, checked when the iteration starts."""
+    """Primes from --p to --p-max, checked when the iteration starts: an --l
+    must split every one of them."""
     _check_p(args.p, 3)
     p_max = args.p if args.p_max is None else args.p_max
-    yield from (q for q in range(args.p, p_max + 1) if is_prime(q))
+    if args.l is not None:
+        for q in filter(is_prime, range(args.p, p_max + 1)):
+            check_pair(q, args.l)
+    yield from filter(is_prime, range(args.p, p_max + 1))
 
 
 def _l_stream(args: argparse.Namespace, p: int):
@@ -127,6 +131,9 @@ def cmd_expp(args: argparse.Namespace) -> int:
 
 
 def cmd_vandiver(args: argparse.Namespace) -> int:
+    for flag in ("l",) if args.mode == "b" else ("l_max", "count"):
+        if getattr(args, flag) is not None:
+            raise ValueError(f"--{flag.replace('_', '-')} does not apply to --mode {args.mode}")
     cache = _open_cache(args, "scan.jsonl", ScanCache)
     unmet: list[int] = []
 

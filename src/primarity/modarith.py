@@ -93,16 +93,6 @@ class LogTable:
     powers: np.ndarray
     dlog: np.ndarray
 
-    def log(self, value: int) -> int:
-        """Exponent k with base**k = value (mod modulus)."""
-        v = value % self.modulus
-        if v == 0:
-            raise ValueError("0 has no discrete logarithm")
-        return int(self.dlog[v])
-
-    def power(self, k: int) -> int:
-        return int(self.powers[k % (self.modulus - 1)])
-
 
 def build_log_table(l: int, g: int) -> LogTable:
     """Dense log table mod l in one O(l) pass of meet-in-the-middle powering."""

@@ -2,13 +2,12 @@
 shares.  A record is a frozen dataclass with a `key` tuple, `to_json()`, a
 `from_json(line)` classmethod, `row()` and a `CSV_HEADER`.
 
-The fan-out reuses one spawn pool per process, so a range of p starts the
-workers and imports numpy in them once, not once per p.  A stream with
-jobs > 1 checks the idle pool out and returns it when it ends or the
-caller stops early; an error or an interrupt terminates it instead (see
-ordered_map).  A stream that wants another worker count, or finds the pool
-checked out, starts its own.  At most one pool stays idle, and that one is
-terminated at exit.
+The fan-out keeps one pool slot per process, so a range of p starts the
+workers and imports numpy in them once, not once per p.  The slot fills at
+the first task a store misses with jobs > 1, is replaced when a stream asks
+for another worker count, and ends on an error or an interrupt and at exit.
+A stream the caller stops early leaves its unread results in flight and the
+pool in the slot (see ordered_map).
 """
 
 from __future__ import annotations
@@ -16,6 +15,7 @@ from __future__ import annotations
 import atexit
 import csv
 from collections import deque
+from functools import partial
 from itertools import chain
 from multiprocessing import get_context
 from pathlib import Path
@@ -73,37 +73,25 @@ class JsonlStore:
             fh.write(rec.to_json() + "\n")
 
 
-_idle = None  # (jobs, pool): this process's idle worker pool, if any
+_pool = None  # (jobs, pool): this process's worker pool, started at the first store miss
 
 
-def _take_pool(jobs: int):
-    """The idle pool if it has `jobs` workers, else a new one; an idle pool
-    of another size is terminated."""
-    global _idle
-    idle, _idle = _idle, None
-    if idle is not None:
-        if idle[0] == jobs:
-            return idle[1]
-        idle[1].terminate()
-    return get_context("spawn").Pool(jobs)
-
-
-def _give_back(jobs: int, pool) -> None:
-    """Make pool the idle one, ending one that is idle already: a stream that
-    found the pool checked out has started its own."""
-    global _idle
-    _end_idle_pool()
-    _idle = (jobs, pool)
+def _pool_for(jobs: int):
+    """The slot's pool if it has `jobs` workers, else a new one in its place."""
+    global _pool
+    if _pool is None or _pool[0] != jobs:
+        _end_pool()
+        _pool = (jobs, get_context("spawn").Pool(jobs))
+    return _pool[1]
 
 
 @atexit.register
-def _end_idle_pool() -> None:
-    global _idle
-    if _idle is not None:
-        pool = _idle[1]
-        _idle = None
-        pool.terminate()
-        pool.join()
+def _end_pool() -> None:
+    global _pool
+    slot, _pool = _pool, None
+    if slot is not None:
+        slot[1].terminate()
+        slot[1].join()
 
 
 def ordered_map(fn: Callable[[tuple], object], tasks: Iterable[tuple], jobs: int = 1,
@@ -111,51 +99,40 @@ def ordered_map(fn: Callable[[tuple], object], tasks: Iterable[tuple], jobs: int
     """Yield fn(task) for each task, in task order.
 
     Each task is the key of the record fn returns: records in store are
-    replayed verbatim and fresh ones appended to it.  With jobs = 1 a record
-    is computed when it is asked for.  More jobs keep at most `jobs` tasks
-    in flight in the process's reusable pool.  When the stream runs out the
-    pool goes back to idle.  When the caller stops early, the tasks still
-    in flight are waited for and their results dropped, so none reaches the
-    store or raises, and the pool goes back to idle too.  Anything raised,
-    an interrupt included, terminates the pool.
+    replayed verbatim and fresh ones appended to it in task order.  With
+    jobs = 1 a record is computed in this process when it is asked for;
+    more jobs keep at most `jobs` tasks in flight in the slot's pool, which
+    starts at the first task the store misses, so a fully replayed stream
+    starts none.  When the caller stops early, the results in flight are
+    dropped unread: they reach neither the store nor the caller, and the
+    pool stays for the next stream.  Anything raised, an interrupt included,
+    ends the pool.  Interleaved streams share the slot, so they must ask for
+    the same jobs, and an error in one ends the pool the others read from.
     """
+    window: deque = deque()  # (replayed record, None) or (None, reader of a fresh one)
+    try:
+        for task in tasks:
+            rec = store.get(*task) if store is not None else None
+            read = None if rec is not None else (
+                _pool_for(jobs).apply_async(fn, (task,)).get if jobs > 1 else partial(fn, task))
+            window.append((rec, read))
+            while window and (len(window) >= jobs or window[0][1] is None):
+                yield _settle(store, *window.popleft())
+        while window:
+            yield _settle(store, *window.popleft())
+    except GeneratorExit:
+        raise
+    except BaseException:
+        _end_pool()
+        raise
 
-    def stored(task):
-        return store.get(*task) if store is not None else None
 
-    def fresh(rec):
+def _settle(store, rec, read):
+    if read is not None:
+        rec = read()
         if store is not None:
             store.put(rec)
-        return rec
-
-    if jobs <= 1:
-        for task in tasks:
-            rec = stored(task)
-            yield fresh(fn(task)) if rec is None else rec
-        return
-
-    def settle(rec, pending):
-        return rec if pending is None else fresh(pending.get())
-
-    pool = _take_pool(jobs)
-    window: deque = deque()  # (replayed record, None) or (None, pending result)
-    try:
-        try:
-            for task in tasks:
-                rec = stored(task)
-                window.append((rec, None if rec is not None else pool.apply_async(fn, (task,))))
-                while window and (len(window) >= jobs or window[0][1] is None):
-                    yield settle(*window.popleft())
-            while window:
-                yield settle(*window.popleft())
-        except GeneratorExit:
-            for _, pending in window:
-                if pending is not None:
-                    pending.wait()  # never raises; the result is dropped
-    except BaseException:
-        pool.terminate()
-        raise
-    _give_back(jobs, pool)
+    return rec
 
 
 def write_csv(fh, header: Iterable[str], rows: Iterable[Iterable]) -> None:

@@ -1,7 +1,5 @@
 """Teichmuller lifts, generalized Bernoulli numbers, irregularity."""
 
-import json
-
 import pytest
 
 from primarity.bernoulli import _b1_omegas, b1_omega, b_c_factor, irregularity_report, teichmuller
@@ -59,15 +57,6 @@ def test_irregular_exponents(p, want):
     assert set(rep.irregular_exponents) == want
     assert rep.index == len(want)
     assert set(rep.exponent_set().members) == want
-
-
-def test_irregularity_report_json():
-    rep = irregularity_report(37)
-    assert json.loads(rep.to_json()) == {
-        "p": 37,
-        "irregular_exponents": [32],
-        "index": 1,
-    }
 
 
 def test_irregularity_report_rejects_bad_p():

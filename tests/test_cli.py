@@ -209,6 +209,27 @@ def test_vandiver_count_zero_is_a_usage_error(capsys):
     assert "max_steps must be at least 1" in err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (("--l", "150"), "--l does not apply to --mode b"),
+    (("--l", "149", "--mode", "b"), "--l does not apply to --mode b"),
+    (("--mode", "a", "--l-max", "500"), "--l-max does not apply to --mode a"),
+    (("--mode", "a", "--count", "3"), "--count does not apply to --mode a"),
+], ids=["l-default-mode", "l-mode-b", "l-max-mode-a", "count-mode-a"])
+def test_vandiver_rejects_flags_its_mode_does_not_read(capsys, argv, flag):
+    rc, out, err = run(capsys, "vandiver", "--p", "37", *argv)
+    assert (rc, out) == (2, "")
+    assert flag in err
+
+
+@pytest.mark.parametrize("command", [("expp",), ("vandiver", "--mode", "a")],
+                         ids=["expp", "vandiver-a"])
+def test_l_must_split_every_p_of_the_range_before_the_first_row(capsys, command):
+    # 149 splits 37 but not 41, so the p=37 row must not be printed either
+    rc, out, err = run(capsys, *command, "--p", "37", "--p-max", "41", "--l", "149")
+    assert (rc, out) == (2, "")
+    assert "l=149 does not split: l % p = 26" in err
+
+
 @pytest.mark.parametrize("l,msg", [("13", "l=13 does not split"), ("15", "l=15 is not prime")],
                          ids=["nonsplit", "composite"])
 def test_trace_rejects_a_bad_l(capsys, l, msg):
@@ -255,7 +276,7 @@ def test_p_range_starts_one_pool_and_keeps_the_bytes(capsys, monkeypatch):
         return multiprocessing.get_context(method)
 
     monkeypatch.setattr(records, "get_context", counted)
-    records._end_idle_pool()  # a pool left idle by an earlier test would be reused
+    records._end_pool()  # a pool left idle by an earlier test would be reused
     argv = ("vandiver", "--p", "37", "--p-max", "79", "--mode", "b")
     try:
         rc, seq, _ = run(capsys, *argv, "--jobs", "1")
@@ -266,7 +287,7 @@ def test_p_range_starts_one_pool_and_keeps_the_bytes(capsys, monkeypatch):
         assert par == seq
         assert starts == ["spawn"]
     finally:
-        records._end_idle_pool()
+        records._end_pool()
 
 
 def test_parser_is_built_once_and_leaks_nothing_between_calls(capsys):

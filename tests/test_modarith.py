@@ -100,14 +100,16 @@ def test_split_primes_count_zero_and_negative():
 
 
 def test_log_table_invariants():
+    from oracles import dlog_map
+
     t = build_log_table(149, 2)
-    assert t.log(1) == 0
-    assert t.log(2) == 1
+    logs = dlog_map(149, 2)
+    assert t.dlog[1] == logs[1] == 0
+    assert t.dlog[2] == logs[2] == 1
     for v in (3, 17, 148):
-        assert pow(2, t.log(v), 149) == v
-    assert t.power(t.log(93)) == 93
-    with pytest.raises(ValueError):
-        t.log(0)
+        assert t.dlog[v] == logs[v]
+        assert pow(2, int(t.dlog[v]), 149) == v
+    assert t.powers[t.dlog[93]] == 93
 
 
 def test_log_table_matches_naive_dlog():
@@ -116,7 +118,8 @@ def test_log_table_matches_naive_dlog():
     t = build_log_table(103, primitive_root(103))
     naive = dlog_map(103, primitive_root(103))
     for v, k in naive.items():
-        assert t.log(v) == k
+        assert t.dlog[v] == k
+        assert t.powers[k] == v
 
 
 def test_log_table_rejects_non_primitive_base():

@@ -42,7 +42,6 @@ class FakePool:
     """Runs each task when its result is read; records what the fan-out asks."""
 
     made = 0
-    interrupt_wait = False
 
     def __init__(self, jobs):
         self.calls = []
@@ -62,16 +61,7 @@ class FakePool:
                 done.append(fn(*args))
             return done[0]
 
-        def wait():
-            self.calls.append("wait")
-            if self.interrupt_wait:
-                raise KeyboardInterrupt
-            try:
-                get()
-            except Exception:
-                pass
-
-        return SimpleNamespace(get=get, wait=wait)
+        return SimpleNamespace(get=get)
 
     def join(self):
         self.calls.append("join")
@@ -82,8 +72,8 @@ class FakePool:
 
 @pytest.fixture
 def fake_pool(monkeypatch):
-    # an empty idle slot: no real pool is reused here and no fake outlives the test
-    monkeypatch.setattr(records, "_idle", None)
+    # an empty slot: no real pool is reused here and no fake outlives the test
+    monkeypatch.setattr(records, "_pool", None)
     monkeypatch.setattr(records, "get_context", lambda method: SimpleNamespace(Pool=FakePool))
     FakePool.made = 0
 
@@ -136,22 +126,38 @@ def test_pooled_map_reuses_one_pool_across_streams(fake_pool):
             [1, 4, 9, 16, 25]
     assert FakePool.made == 1
     assert FakePool.last.calls == []
-    assert records._idle == (2, FakePool.last)
+    assert records._pool == (2, FakePool.last)
 
 
-def test_pooled_map_waits_out_an_early_close_and_keeps_the_pool(fake_pool, tmp_path):
+def test_pooled_map_drops_results_in_flight_on_early_close(fake_pool, tmp_path):
     store = SquareStore(tmp_path / "sq.jsonl")
-    # 13 is in flight when the caller stops: waited for, but its error never comes up
+    # 13 is in flight when the caller stops: never read, so its error never comes up
     stream = ordered_map(square, [(n,) for n in range(11, 20)], 3, store)
     assert next(stream).sq == 121
     pool = FakePool.last
     assert pool.in_flight == 2
     stream.close()
-    assert pool.in_flight == 0
-    assert pool.calls == ["wait", "wait"]
-    assert len(store) == 1  # the results waited for are dropped
-    assert records._idle == (3, pool)
+    assert pool.in_flight == 2  # nothing waited for or read
+    assert pool.calls == []
+    assert len(store) == 1
+    assert records._pool == (3, pool)
     assert [r.sq for r in ordered_map(square, [(2,)], 3)] == [4]
+    assert FakePool.made == 1
+
+
+def test_pooled_map_replays_a_full_store_without_a_pool(fake_pool, tmp_path):
+    store = SquareStore(tmp_path / "sq.jsonl")
+    for n in range(1, 6):
+        store.put(Square(n, -n))
+    got = [r.sq for r in ordered_map(square, [(n,) for n in range(1, 6)], 2, store)]
+    assert got == [-1, -2, -3, -4, -5]
+    assert FakePool.made == 0
+    assert records._pool is None
+    # a replayed record is handed over before the task after it is sent
+    stream = ordered_map(square, [(5,), (6,)], 2, store)
+    assert next(stream).sq == -5
+    assert FakePool.made == 0
+    assert [r.sq for r in stream] == [36]
     assert FakePool.made == 1
 
 
@@ -165,22 +171,11 @@ def test_pooled_map_terminates_and_drops_the_pool_on_error(fake_pool, error):
     with pytest.raises(error, match="stop"):
         list(ordered_map(failing, [(n,) for n in range(1, 9)], 2))
     broken = FakePool.last
-    assert broken.calls == ["terminate"]
-    assert records._idle is None
+    assert broken.calls == ["terminate", "join"]
+    assert records._pool is None
     assert [r.sq for r in ordered_map(square, [(5,), (6,)], 2)] == [25, 36]
     assert FakePool.made == 2
-    assert records._idle == (2, FakePool.last)
-
-
-def test_pooled_map_terminates_the_pool_when_the_wait_is_interrupted(fake_pool):
-    stream = ordered_map(square, [(n,) for n in range(1, 9)], 3)
-    next(stream)
-    pool = FakePool.last
-    pool.interrupt_wait = True
-    with pytest.raises(KeyboardInterrupt):
-        stream.close()
-    assert pool.calls == ["wait", "terminate"]
-    assert records._idle is None
+    assert records._pool == (2, FakePool.last)
 
 
 def test_pooled_map_replaces_an_idle_pool_of_another_size(fake_pool):
@@ -188,19 +183,16 @@ def test_pooled_map_replaces_an_idle_pool_of_another_size(fake_pool):
     two = FakePool.last
     assert [r.sq for r in ordered_map(square, [(1,), (2,)], 3)] == [1, 4]
     assert FakePool.made == 2
-    assert two.calls == ["terminate"]
-    assert records._idle == (3, FakePool.last)
+    assert two.calls == ["terminate", "join"]
+    assert records._pool == (3, FakePool.last)
 
 
-def test_pooled_map_starts_its_own_pool_when_the_idle_one_is_checked_out(fake_pool):
+def test_interleaved_streams_share_one_pool_and_keep_their_order(fake_pool):
     outer = ordered_map(square, [(n,) for n in range(1, 6)], 2)
+    inner = ordered_map(square, [(n,) for n in range(6, 11)], 2)
     assert next(outer).sq == 1
-    first = FakePool.last
-    assert [r.sq for r in ordered_map(square, [(7,)], 2)] == [49]
-    second = FakePool.last
-    assert second is not first
-    assert records._idle == (2, second)
+    assert [r.sq for r in inner] == [36, 49, 64, 81, 100]
     assert [r.sq for r in outer] == [4, 9, 16, 25]
-    # at most one idle pool: the one returned last stays, the other ends
-    assert second.calls == ["terminate", "join"]
-    assert records._idle == (2, first)
+    assert FakePool.made == 1
+    assert FakePool.last.calls == []
+    assert records._pool == (2, FakePool.last)
