@@ -10,7 +10,7 @@ global pth powers, and reproduces the supporting rank, trace and density
 experiments.
 """
 
-from .bernoulli import IrregularityReport, b1_omega, b_c_factor, irregularity_report, teichmuller
+from .bernoulli import b1_omega, b_c_factor, irregularity_report, teichmuller
 from .cycring import CycModP
 from .jacobi import (
     ExponentSet,
@@ -61,7 +61,6 @@ __all__ = [
     "ExponentSet",
     "TwistContext",
     "LogTable",
-    "IrregularityReport",
     "CriterionVerdict",
     "DensityTable",
     "ScanCache",

@@ -11,8 +11,6 @@ the irregular exponents of p (Kummer: B_{1, omega^(n-1)} = B_n / n mod p).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .jacobi import ExponentSet, check_exponent
 from .modarith import is_prime
 
@@ -50,25 +48,16 @@ def _b1_omegas(p: int, m0: int):
         terms = [t * s % p2 for t, s in zip(terms, steps)]
 
 
-@dataclass(frozen=True)
-class IrregularityReport:
-    """Irregular exponents of p together with the irregularity index."""
+def irregularity_report(p: int) -> ExponentSet:
+    """ExponentSet of the even n in [2, p-3] with B_{1, omega^(n-1)} = 0 mod p.
 
-    p: int
-    irregular_exponents: tuple[int, ...]
-
-    index = property(lambda self: len(self.irregular_exponents))
-
-    def exponent_set(self) -> ExponentSet:
-        return ExponentSet(self.p, self.irregular_exponents)
-
-
-def irregularity_report(p: int) -> IrregularityReport:
-    """Scan all even n in [2, p-3] for vanishing B_{1, omega^(n-1)}."""
-    if p < 5 or not is_prime(p):
-        raise ValueError(f"p={p} must be a prime >= 5")
+    Its size is the irregularity index of p.  Any odd prime p is accepted;
+    p = 3 has no such n and gets the empty set.
+    """
+    if p < 3 or not is_prime(p):
+        raise ValueError(f"p={p} is not an odd prime")
     hits = tuple(n for n, b in zip(range(2, p - 2, 2), _b1_omegas(p, 1)) if b == 0)
-    return IrregularityReport(p=p, irregular_exponents=hits)
+    return ExponentSet(p, hits)
 
 
 def b_c_factor(p: int, c: int, n: int) -> int:

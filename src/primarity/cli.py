@@ -11,7 +11,8 @@ then built-in default.  Recognized variables: PRIMARITY_JOBS (worker
 processes of whichever route the subcommand runs), PRIMARITY_CACHE_DIR,
 PRIMARITY_FORMAT.  main resolves jobs, cache_dir, format and resume onto
 the parsed namespace once, for every subcommand, and each handler reads
-only that namespace.  The parser itself is built once per process, on the
+only that namespace; an --l, one pair per p, resolves jobs to 1, as a
+pool would only add its start-up.  The parser itself is built once per process, on the
 first call of main, and every call parses into a fresh namespace.
 
 Exit codes: 0 success (criterion established where one was asked), 2
@@ -216,8 +217,7 @@ def cmd_symbol(args: argparse.Namespace) -> int:
     ls = _l_or_l_max(args)
     cache = _open_cache(args, "symbols.jsonl", SymbolCache)
     keys = (symbol_key(p, n, l, args.c) for l in ls)
-    jobs = args.jobs if args.l is None else 1  # no pool for a single row
-    _emit(args, SymbolReport.CSV_HEADER, ordered_map(symbol_report, keys, jobs, cache),
+    _emit(args, SymbolReport.CSV_HEADER, ordered_map(symbol_report, keys, args.jobs, cache),
           _symbol_text, title=f"p={p} n={n}")
     return 0
 
@@ -284,6 +284,8 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError(f"PRIMARITY_JOBS={raw!r} is not an integer") from None
         if args.jobs < 1:
             raise ValueError("worker counts must be at least 1")
+        if getattr(args, "l", None) is not None:
+            args.jobs = 1
         args.cache_dir = args.cache_dir or os.environ.get("PRIMARITY_CACHE_DIR")
         args.format = args.format or os.environ.get("PRIMARITY_FORMAT", "text")
         if args.format not in ("text", "json", "csv"):

@@ -112,9 +112,6 @@ class CycModP:
             return NotImplemented
         return self.p == other.p and bool((self.coeffs == other.coeffs).all())
 
-    def __hash__(self) -> int:
-        return hash((self.p, bytes(self.coeffs)))
-
     def render(self) -> str:
         """Readable polynomial, highest power first, PARI spelling."""
         return render_poly([int(v) for v in self.coeffs])

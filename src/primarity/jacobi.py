@@ -98,7 +98,7 @@ def pair_key(p: int, l: int, c: int | None = None,
 
 
 def cyclotomic_numbers(logs: LogTable, p: int) -> np.ndarray:
-    """N[d][m] = #{y in C_d : 1 + y in C_m} mod l = logs.modulus, read-only.
+    """N[d][m] = #{y in C_d : 1 + y in C_m} mod l = len(logs.dlog), read-only.
 
     The pairs (y, 1 + y) for y = 1 .. l-2 are consecutive entries of the
     coset index log(v) mod p, so one bincount of d*p + m counts them all.

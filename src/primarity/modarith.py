@@ -24,14 +24,12 @@ _MR_BOUNDS = ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4),
               (2152302898747, 5), (3474749660383, 6), (341550071728321, 7),
               (3825123056546413051, 9))
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin over the bases n's size needs, correct below 2**64."""
     if n < 2:
         return False
-    for q in _SMALL_PRIMES:
+    for q in _MR_BASES:
         if n % q == 0:
             return n == q
     d = n - 1
@@ -88,8 +86,6 @@ class LogTable:
     Both arrays are immutable views that workers may share read-only.
     """
 
-    modulus: int
-    base: int
     powers: np.ndarray
     dlog: np.ndarray
 
@@ -116,7 +112,7 @@ def build_log_table(l: int, g: int) -> LogTable:
     powers = powers.astype(np.int32)  # scattered through while still intp
     powers.setflags(write=False)
     dlog.setflags(write=False)
-    return LogTable(modulus=l, base=g, powers=powers, dlog=dlog)
+    return LogTable(powers=powers, dlog=dlog)
 
 
 def split_primes(p: int, bound: int | None = None, count: int | None = None):

@@ -13,15 +13,17 @@ interpolation at the p-1 roots and one CRT.  How many primes that takes
 follows from an exact height bound: every J_i has absolute value sqrt(l)
 in every complex embedding, so each coefficient of S_n lies below
 2 * l**(e/2), e = (c-1) * sum_a (a**(n-1) mod p).  The same bound sizes the
-coefficients before any work, and a memory budget (default 1 GiB) refuses
-components above it.
+coefficients before any work, and components above the fixed budget
+MEMORY_LIMIT (1 GiB of coefficients) are refused.
 
 The norm of the reduced component is a signed power of l.  It is computed
 exactly inside Z[x]/Phi_p, down the tower of subfields of the cyclic
 Galois group: one prime factor r of p-1 at a time, the element is
 replaced by the product of its r conjugates over the next subfield, which
 for p = 37 takes six products.  Valuations are read with a squaring
-ladder q, q**2, q**4, ... rather than one division per factor.
+ladder q, q**2, q**4, ... rather than one division per factor, and the
+content of an element (its l-content v, or the p-adic valuation s of
+S_n - 1) from one ladder on the gcd of its coefficients.
 """
 
 from __future__ import annotations
@@ -95,9 +97,6 @@ class CycBigInt:
         c = list(self.coeffs)
         c[0] -= 1
         return CycBigInt(self.p, c)
-
-    def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and not any(self.coeffs[1:])
 
     def to_mod_p(self) -> CycModP:
         """Reduction of every coefficient mod p."""
@@ -274,17 +273,9 @@ def _valuation(n: int, q: int) -> int:
 
 
 def min_p_valuation(u: CycBigInt, q: int) -> int | None:
-    """Smallest q-adic valuation over the nonzero coefficients, None if u = 0."""
-    best: int | None = None
-    for c in u.coeffs:
-        if c == 0:
-            continue
-        v = _valuation(c, q)
-        if best is None or v < best:
-            best = v
-            if best == 0:
-                break
-    return best
+    """Least q-adic valuation of the coefficients, that of their gcd; None if u = 0."""
+    d = math.gcd(*u.coeffs)
+    return None if d == 0 else _valuation(d, q)
 
 
 def l_content(u: CycBigInt, l: int) -> tuple[int, CycBigInt]:

@@ -164,8 +164,7 @@ def criterion_a(p: int, l: int | None = None, c: int | None = None,
         l = next(split_primes(p, count=1))
     (rec,) = scan_pairs(p, [l], c=c, cache=cache)
     e_l = rec.exponent_set()
-    # p=3 has no even exponents in [2, p-3] at all
-    e_0 = ExponentSet(3, ()) if p == 3 else irregularity_report(p).exponent_set()
+    e_0 = irregularity_report(p)
     return CriterionVerdict(p=p, mode="a", witnesses=(l,), intersection=e_l.intersection(e_0),
                             exponents=e_l, irregular=e_0)
 

@@ -31,6 +31,20 @@ def dlog_map(l: int, g: int) -> dict[int, int]:
     return out
 
 
+def min_valuation_naive(coeffs: list[int], q: int) -> int | None:
+    """Least exponent of q over the nonzero coefficients, one division at a time."""
+    best = None
+    for c in coeffs:
+        if c == 0:
+            continue
+        v = 0
+        while c % q == 0:
+            c //= q
+            v += 1
+        best = v if best is None else min(best, v)
+    return best
+
+
 def jacobi_charsum(p: int, l: int, g: int, i: int) -> list[int]:
     """-J(chi^i, chi) as exact coefficients on 1, z, ..., z^(p-2).
 

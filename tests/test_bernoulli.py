@@ -3,6 +3,7 @@
 import pytest
 
 from primarity.bernoulli import _b1_omegas, b1_omega, b_c_factor, irregularity_report, teichmuller
+from primarity.jacobi import ExponentSet
 
 from _goldens import B_C_FACTOR_VALUES, IRREGULAR_EXPONENTS, TEICHMULLER_VALUES
 from oracles import bn_over_n_mod_p, teichmuller_bruteforce
@@ -54,16 +55,15 @@ def test_b1_omega_range_checks():
 @pytest.mark.parametrize("p,want", sorted(IRREGULAR_EXPONENTS.items()))
 def test_irregular_exponents(p, want):
     rep = irregularity_report(p)
-    assert set(rep.irregular_exponents) == want
-    assert rep.index == len(want)
-    assert set(rep.exponent_set().members) == want
+    assert set(rep.members) == want
+    assert len(rep) == len(want)  # the irregularity index
 
 
 def test_irregularity_report_rejects_bad_p():
-    with pytest.raises(ValueError):
-        irregularity_report(4)
-    with pytest.raises(ValueError):
-        irregularity_report(3)
+    for p in (2, 4, 9):
+        with pytest.raises(ValueError, match="not an odd prime"):
+            irregularity_report(p)
+    assert irregularity_report(3) == ExponentSet(3, ())
 
 
 @pytest.mark.parametrize("p,c,n,want", [(k[0], k[1], k[2], v) for k, v in B_C_FACTOR_VALUES.items()])

@@ -290,6 +290,25 @@ def test_p_range_starts_one_pool_and_keeps_the_bytes(capsys, monkeypatch):
         records._end_pool()
 
 
+@pytest.mark.parametrize("argv", [("expp", "--p", "37", "--l", "1481"),
+                                  ("symbol", "--p", "37", "--n", "32", "--l", "149")])
+def test_single_l_row_starts_no_pool(capsys, monkeypatch, argv):
+    starts = []
+
+    def counted(method):
+        starts.append(method)
+        return multiprocessing.get_context(method)
+
+    monkeypatch.setattr(records, "get_context", counted)
+    records._end_pool()
+    rc, seq, _ = run(capsys, *argv, "--jobs", "1")
+    assert rc == 0
+    rc, par, _ = run(capsys, *argv, "--jobs", "2")
+    assert rc == 0
+    assert par == seq
+    assert starts == []
+
+
 def test_parser_is_built_once_and_leaks_nothing_between_calls(capsys):
     build_parser.cache_clear()
     rc, out, _ = run(capsys, "vandiver", "--p", "37", "--mode", "a")

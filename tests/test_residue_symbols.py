@@ -40,6 +40,7 @@ from oracles import (
     component_naive,
     is_prime_naive,
     jacobi_charsum,
+    min_valuation_naive,
     mul_exact_naive,
     mul_mod_phi_naive,
     norm_naive,
@@ -203,6 +204,54 @@ def test_l_content_splits_off_the_l_power():
     assert v == 0 and same is reduced
     with pytest.raises(ValueError, match="zero"):
         l_content(CycBigInt(5, [0, 0, 0, 0]), 23)
+
+
+def _check_contents(u, q):
+    """min_p_valuation and l_content of u against the division-loop oracle."""
+    want = min_valuation_naive(u.coeffs, q)
+    assert min_p_valuation(u, q) == want
+    if want is None:
+        with pytest.raises(ValueError, match="no l-content"):
+            l_content(u, q)
+        return
+    v, reduced = l_content(u, q)
+    assert v == want
+    assert [c * q**v for c in reduced.coeffs] == u.coeffs
+    assert min_valuation_naive(reduced.coeffs, q) == 0
+
+
+@pytest.mark.parametrize("q", [5, 23, 37, 32783])
+def test_contents_match_the_division_loop_on_random_elements(q):
+    rng = random.Random(q)
+    for trial in range(40):
+        p = rng.choice((5, 7, 11, 37))
+        k = rng.randrange(301)  # planted q**k shared by every coefficient
+        coeffs = []
+        for _ in range(p - 1):
+            kind = rng.randrange(4)
+            if kind == 0:
+                coeffs.append(0)
+                continue
+            c = rng.randrange(1, 1 << rng.randrange(1, 200))
+            if kind == 1:
+                c *= q ** rng.randrange(1, 40)  # a coefficient above the minimum
+            coeffs.append(rng.choice((1, -1)) * q**k * c)
+        if trial == 0:
+            coeffs = [0] * (p - 1)
+        elif trial == 1:
+            coeffs = [0] * (p - 2) + [-(q**300)]
+        _check_contents(CycBigInt(p, coeffs), q)
+
+
+@pytest.mark.parametrize("l", sorted(SYMBOL37))
+def test_symbol37_contents_match_the_division_loop(l):
+    # v is the l-content of S_32; S_32 is local at P exactly when s = v_37(S_32 - 1) != 0
+    v, _, flags = SYMBOL37[l]
+    S = exact_twist_component(TwistContext.build(37, l), 32)
+    _check_contents(S, l)
+    _check_contents(S.minus_one(), 37)
+    assert min_p_valuation(S, l) == v
+    assert (min_p_valuation(S.minus_one(), 37) != 0) == ("local_at_p" in flags)
 
 
 def test_residue_symbol_is_a_pth_root_of_unity_or_trivial():
