@@ -20,7 +20,7 @@ from .jacobi import (
     jacobi_sum,
     twist_product,
 )
-from .modarith import LogTable, build_log_table, is_prime, primitive_root, split_primes
+from .modarith import LogTable, build_log_table, coset_index, is_prime, primitive_root, split_primes
 from .residue_symbols import (
     CycBigInt,
     SymbolReport,
@@ -72,6 +72,7 @@ __all__ = [
     "primitive_root",
     "split_primes",
     "build_log_table",
+    "coset_index",
     "jacobi_sum",
     "twist_product",
     "exponent_set",

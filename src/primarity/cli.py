@@ -72,10 +72,12 @@ def _check_p(p: int, least: int) -> None:
 
 
 def _prime_range(args: argparse.Namespace) -> Iterator[int]:
-    """Primes from --p to --p-max, checked when the iteration starts: an --l
-    must split every one of them."""
+    """Primes from --p to --p-max, checked when the iteration starts: the
+    range must not be inverted, and an --l must split every one of them."""
     _check_p(args.p, 3)
     p_max = args.p if args.p_max is None else args.p_max
+    if p_max < args.p:
+        raise ValueError(f"--p-max {p_max} is below --p {args.p}")
     if args.l is not None:
         for q in filter(is_prime, range(args.p, p_max + 1)):
             check_pair(q, args.l)

@@ -10,8 +10,9 @@ into ring arithmetic, and the components
 decide p-primarity: n is recorded exactly when S_n = 1.  All of this lives
 in F_p[x]/Phi_p(x) via cycring.  Every J_i, exact ones included, is read
 off one table of cyclotomic numbers N[d][m] = #{y in C_d : 1 + y in C_m},
-C_d the coset of g**d modulo pth powers, counted once per pair; spectra
-builds trace polynomials from the same table.
+C_d the coset of g**d modulo pth powers, counted once per pair from the
+coset indices of modarith.coset_index; spectra builds trace polynomials
+from the same table.
 
 Exponent sets never multiply out S_n.  Mod p, Phi_p = (x-1)**(p-1) and J
 has augmentation 1, so log J = sum_{k<=p-2} (-1)**(k+1) (J-1)**k / k is
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cycring import CycModP
-from .modarith import LogTable, build_log_table, generator_test, is_prime, primitive_root
+from .modarith import coset_index, generator_test, is_prime, primitive_root
 
 
 @dataclass(frozen=True)
@@ -97,15 +98,15 @@ def pair_key(p: int, l: int, c: int | None = None,
     return p, l, c, primitive_root(l) if g is None else g
 
 
-def cyclotomic_numbers(logs: LogTable, p: int) -> np.ndarray:
-    """N[d][m] = #{y in C_d : 1 + y in C_m} mod l = len(logs.dlog), read-only.
+def cyclotomic_numbers(index: np.ndarray, p: int) -> np.ndarray:
+    """N[d][m] = #{y in C_d : 1 + y in C_m} mod l = len(index), read-only.
 
-    The pairs (y, 1 + y) for y = 1 .. l-2 are consecutive entries of the
-    coset index log(v) mod p, so one bincount of d*p + m counts them all.
+    index is modarith.coset_index(l, g, p).  The pairs (y, 1 + y) for
+    y = 1 .. l-2 are consecutive entries of it, so one bincount of d*p + m
+    counts them all.
     """
-    coset = logs.dlog % p
-    cells = np.multiply(coset[1:-1], p, dtype=np.intp)  # intp: p*p passes int32 past p = 46340
-    cells += coset[2:]
+    cells = np.multiply(index[1:-1], p, dtype=np.intp)  # intp: d*p + m overflows the index dtype
+    cells += index[2:]
     N = np.bincount(cells, minlength=p * p).reshape(p, p)
     N.setflags(write=False)
     return N
@@ -126,7 +127,7 @@ class TwistContext:
         """Validate the pair and count its cyclotomic numbers."""
         p, l, c, g = pair_key(p, l, c, g)
         return cls(p=p, l=l, c=c, g=g,
-                   cyclotomic=cyclotomic_numbers(build_log_table(l, g), p))
+                   cyclotomic=cyclotomic_numbers(coset_index(l, g, p), p))
 
 
 def jacobi_counts(ctx: TwistContext, i: int) -> np.ndarray:

@@ -1,10 +1,12 @@
-"""Primality, primitive roots, discrete-log tables, and split-prime streams.
+"""Primality, primitive roots, coset indices, log tables, and split-prime streams.
 
-Everything here works with plain Python ints except the log tables, which
-are dense numpy arrays sized by the modulus: every Jacobi-sum accumulation
-consumes all l-2 logs of a prime l, so a full table amortizes better than
-any per-query method.  Tables refuse moduli above LOG_TABLE_CAP to keep the
-memory footprint bounded.
+Everything here works with plain Python ints except the arrays sized by a
+prime l, which are dense numpy arrays: every Jacobi-sum accumulation
+consumes all l-2 coset indices ind(v) = log_g(v) mod p of a prime pair, so
+a full array amortizes better than any per-query method.  coset_index
+builds exactly that array; the full log table serves the dense reference
+routes.  Both come from one meet-in-the-middle powering and refuse moduli
+above LOG_TABLE_CAP to keep the memory footprint bounded.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Largest modulus for which a dense log table may be built (int32 entries).
+# Largest modulus l for which the dense arrays may be built.  It keeps the
+# int64 block product of two powers below l**2 <= 2**52 < 2**63.
 LOG_TABLE_CAP = 1 << 26
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -90,29 +93,56 @@ class LogTable:
     dlog: np.ndarray
 
 
-def build_log_table(l: int, g: int) -> LogTable:
-    """Dense log table mod l in one O(l) pass of meet-in-the-middle powering."""
+def _power_blocks(l: int, g: int, m: int) -> np.ndarray:
+    """g**(t*m + j) mod l at [t, j], int64, for every block t that starts below l - 1.
+
+    Meet in the middle: one run of m small powers and one of the block
+    powers g**(t*m), multiplied out in one pass.  The last block may run
+    past exponent l - 2 into repeats of g**(k - (l-1)).
+    """
     if l > LOG_TABLE_CAP:
         raise ValueError(f"modulus {l} exceeds the log-table cap {LOG_TABLE_CAP}")
     if not generator_test(l)(g):
         raise ValueError(f"{g} is not a primitive root mod {l}")
-    m = max(1, int(l ** 0.5))
-    small = np.ones(m, dtype=np.int64)
-    for j in range(1, m):
-        small[j] = small[j - 1] * g % l
+    small, big = [1], [1]
+    for _ in range(m - 1):
+        small.append(small[-1] * g % l)
     gm = pow(g, m, l)
-    nblk = (l - 1 + m - 1) // m
-    big = np.ones(nblk, dtype=np.int64)
-    for t in range(1, nblk):
-        big[t] = big[t - 1] * gm % l
-    # outer product stays below 2**63: both factors are < l <= 2**26
-    powers = (big[:, None] * small[None, :] % l).reshape(-1)[: l - 1]
+    for _ in range((l - 2) // m):
+        big.append(big[-1] * gm % l)
+    blocks = np.multiply.outer(np.array(big), np.array(small))
+    blocks %= l  # in place: a fresh int64 array of l entries doubles the page faults
+    return blocks
+
+
+def build_log_table(l: int, g: int) -> LogTable:
+    """Dense log table mod l in one O(l) pass of meet-in-the-middle powering."""
+    powers = _power_blocks(l, g, max(1, int(l ** 0.5))).reshape(-1)[: l - 1]
     dlog = np.zeros(l, dtype=np.int32)
     dlog[powers] = np.arange(l - 1, dtype=np.int32)
     powers = powers.astype(np.int32)  # scattered through while still intp
     powers.setflags(write=False)
     dlog.setflags(write=False)
     return LogTable(powers=powers, dlog=dlog)
+
+
+def coset_index(l: int, g: int, p: int) -> np.ndarray:
+    """ind[v] = log_g(v) mod p for v in [1, l-1], read-only; ind[0] is unused.
+
+    The entries take the least unsigned dtype that holds p - 1: uint8
+    below p = 256, uint16 above.  With a block length m divisible by p,
+    g**(t*m + j) has index j mod p, so one row pattern is scattered
+    through every block; a block running past l - 2 rewrites the same
+    values, since p divides l - 1.
+    """
+    if p < 1 or (l - 1) % p:
+        raise ValueError(f"p={p} does not divide l - 1 = {l - 1}")
+    m = p * max(1, round(l ** 0.5 / p))
+    blocks = _power_blocks(l, g, m)
+    index = np.zeros(l, dtype=np.min_scalar_type(p - 1))
+    index[blocks] = np.arange(m) % p
+    index.setflags(write=False)
+    return index
 
 
 def split_primes(p: int, bound: int | None = None, count: int | None = None):

@@ -28,7 +28,7 @@ import numpy as np
 
 from .cycring import CycModP, render_poly
 from .jacobi import TwistContext, check_pair, cyclotomic_numbers, twist_product
-from .modarith import build_log_table, primitive_root, split_primes
+from .modarith import build_log_table, coset_index, primitive_root, split_primes
 from .records import JsonlStore, ordered_map, write_csv
 
 
@@ -208,7 +208,7 @@ def _trace_fast(p: int, l: int) -> list[int]:
     because -1 lies in C_0, so powers of eta_0 stay in the redundant basis
     (constant, eta_0, ..., eta_(p-1)) with exact integer weights.
     """
-    rows = cyclotomic_numbers(build_log_table(l, primitive_root(l)), p).tolist()
+    rows = cyclotomic_numbers(coset_index(l, primitive_root(l), p), p).tolist()
     M = (l - 1) // p
     psums = [None, -1]  # the periods sum to -1
     cur_c, cur_b = 0, [1] + [0] * (p - 1)  # eta_0

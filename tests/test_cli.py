@@ -230,6 +230,15 @@ def test_l_must_split_every_p_of_the_range_before_the_first_row(capsys, command)
     assert "l=149 does not split: l % p = 26" in err
 
 
+@pytest.mark.parametrize("command", [("expp",), ("vandiver", "--mode", "a"), ("vandiver",),
+                                     ("vandiver", "--format", "csv")],
+                         ids=["expp", "vandiver-a", "vandiver-b", "vandiver-csv"])
+def test_an_inverted_p_range_is_rejected(capsys, command):
+    rc, out, err = run(capsys, *command, "--p", "37", "--p-max", "30")
+    assert (rc, out) == (2, "")
+    assert "--p-max 30 is below --p 37" in err
+
+
 @pytest.mark.parametrize("l,msg", [("13", "l=13 does not split"), ("15", "l=15 is not prime")],
                          ids=["nonsplit", "composite"])
 def test_trace_rejects_a_bad_l(capsys, l, msg):

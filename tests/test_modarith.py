@@ -1,4 +1,4 @@
-"""Primality, primitive roots, log tables, split-prime streams."""
+"""Primality, primitive roots, coset indices, log tables, split-prime streams."""
 
 import numpy as np
 import pytest
@@ -6,13 +6,21 @@ import pytest
 from primarity.modarith import (
     LOG_TABLE_CAP,
     build_log_table,
+    coset_index,
     factorize,
     is_prime,
     primitive_root,
     split_primes,
 )
 
-from oracles import is_prime_naive, multiplicative_order_naive
+from primarity.jacobi import cyclotomic_numbers
+
+from oracles import (
+    cyclotomic_numbers_naive,
+    dlog_map,
+    is_prime_naive,
+    multiplicative_order_naive,
+)
 
 
 def test_is_prime_matches_trial_division_below_20000():
@@ -100,8 +108,6 @@ def test_split_primes_count_zero_and_negative():
 
 
 def test_log_table_invariants():
-    from oracles import dlog_map
-
     t = build_log_table(149, 2)
     logs = dlog_map(149, 2)
     assert t.dlog[1] == logs[1] == 0
@@ -113,8 +119,6 @@ def test_log_table_invariants():
 
 
 def test_log_table_matches_naive_dlog():
-    from oracles import dlog_map
-
     t = build_log_table(103, primitive_root(103))
     naive = dlog_map(103, primitive_root(103))
     for v, k in naive.items():
@@ -122,10 +126,18 @@ def test_log_table_matches_naive_dlog():
         assert t.powers[k] == v
 
 
+# both dense arrays of l, through the one set of checks; p = l - 1 makes
+# the coset index the whole log
+BUILDERS = [build_log_table, lambda l, g: coset_index(l, g, l - 1)]
+
+
 def test_log_table_rejects_non_primitive_base():
     # 4 is a square, so its powers repeat before covering F_29*
-    with pytest.raises(ValueError, match="not a primitive root"):
-        build_log_table(29, 4)
+    for build in BUILDERS:
+        with pytest.raises(ValueError, match="not a primitive root"):
+            build(29, 4)
+    with pytest.raises(ValueError, match="4 is not a primitive root mod 29"):
+        coset_index(29, 4, 7)
 
 
 @pytest.mark.parametrize("l, g", [
@@ -134,8 +146,9 @@ def test_log_table_rejects_non_primitive_base():
     (9, 2), (561, 2),  # a composite modulus has no element of order l - 1
 ])
 def test_log_table_rejects_bases_of_lower_order(l, g):
-    with pytest.raises(ValueError, match=f"{g} is not a primitive root mod {l}"):
-        build_log_table(l, g)
+    for build in BUILDERS:
+        with pytest.raises(ValueError, match=f"{g} is not a primitive root mod {l}"):
+            build(l, g)
 
 
 @pytest.mark.parametrize("l", [31, 37])
@@ -148,12 +161,16 @@ def test_log_table_accepts_exactly_the_bases_of_full_order(l):
             continue
         accepted.add(g)
         assert sorted(t.powers.tolist()) == list(range(1, l))
+        assert coset_index(l, g, l - 1)[1:].tolist() == t.dlog[1:].tolist()
     assert accepted == {g for g in range(2 * l) if multiplicative_order_naive(g, l) == l - 1}
 
 
 def test_log_table_refuses_oversized_modulus():
-    with pytest.raises(ValueError, match="cap"):
-        build_log_table(LOG_TABLE_CAP + 3, 2)
+    for build in BUILDERS:
+        with pytest.raises(ValueError, match=f"modulus {LOG_TABLE_CAP + 3} exceeds the log-table"):
+            build(LOG_TABLE_CAP + 3, 2)
+    with pytest.raises(ValueError, match="exceeds the log-table cap"):
+        coset_index(LOG_TABLE_CAP + 3, 2, 3)
 
 
 def test_log_table_arrays_are_read_only():
@@ -163,6 +180,37 @@ def test_log_table_arrays_are_read_only():
     assert isinstance(t.dlog, np.ndarray)
     # every entry is below l <= LOG_TABLE_CAP = 2**26
     assert t.powers.dtype == np.int32 and t.dlog.dtype == np.int32
+
+
+# (p, l, g); m is the block length p * max(1, round(sqrt(l) / p)).  uint8 at
+# p = 37 with m = p > sqrt(l), with a root other than the least, and with
+# the last block running past l - 2 (p = 3, l = 103, m = 9; p = 37, l =
+# 21683, m = 148); uint16 with m = p > sqrt(l) (p = 331, l = 1987) and with
+# the wrap (p = 257, l = 433817, m = 771).
+COSET_PAIRS = [(37, 149, 2), (37, 149, 3), (3, 103, 5), (37, 21683, 2), (37, 21683, 32),
+               (331, 1987, 2), (257, 433817, 3)]
+
+
+@pytest.mark.parametrize("p, l, g", COSET_PAIRS)
+def test_coset_index_matches_naive_dlog_and_counts_the_cyclotomic_numbers(p, l, g):
+    index = coset_index(l, g, p)
+    assert index.dtype == (np.uint8 if p < 256 else np.uint16)
+    assert len(index) == l
+    logs = dlog_map(l, g)
+    assert index[1:].tolist() == [logs[v] % p for v in range(1, l)]
+    assert cyclotomic_numbers(index, p).tolist() == cyclotomic_numbers_naive(p, l, g)
+
+
+def test_coset_index_is_read_only():
+    index = coset_index(149, 2, 37)
+    with pytest.raises(ValueError):
+        index[1] = 5
+
+
+@pytest.mark.parametrize("p", [0, -37, 5, 38])
+def test_coset_index_rejects_p_not_dividing_l_minus_1(p):
+    with pytest.raises(ValueError, match=f"p={p} does not divide l - 1 = 148"):
+        coset_index(149, 2, p)
 
 
 @pytest.mark.parametrize("p", [9, 15, 91])
