@@ -12,8 +12,9 @@ processes of whichever route the subcommand runs), PRIMARITY_CACHE_DIR,
 PRIMARITY_FORMAT.  main resolves jobs, cache_dir, format and resume onto
 the parsed namespace once, for every subcommand, and each handler reads
 only that namespace; an --l, one pair per p, resolves jobs to 1, as a
-pool would only add its start-up.  The parser itself is built once per process, on the
-first call of main, and every call parses into a fresh namespace.
+pool would only add its start-up, and is refused beside --l-max or --count.
+The parser itself is built once per process, on the first call of main, and
+every call parses into a fresh namespace.
 
 Exit codes: 0 success (criterion established where one was asked), 2
 invalid input or resource refusal, 3 criterion undetermined at the given
@@ -287,6 +288,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.jobs < 1:
             raise ValueError("worker counts must be at least 1")
         if getattr(args, "l", None) is not None:
+            for flag in ("l_max", "count"):
+                if getattr(args, flag, None) is not None:
+                    raise ValueError(f"--l excludes --{flag.replace('_', '-')}")
             args.jobs = 1
         args.cache_dir = args.cache_dir or os.environ.get("PRIMARITY_CACHE_DIR")
         args.format = args.format or os.environ.get("PRIMARITY_FORMAT", "text")

@@ -74,19 +74,6 @@ class CycModP:
         raw = np.convolve(self.coeffs, other.coeffs) % self.p
         return CycModP(self.p, reduce_mod_phi(raw, self.p))
 
-    def __pow__(self, e: int) -> "CycModP":
-        """self**e by left-to-right squaring: bit_length(e) + popcount(e) - 2 products."""
-        if e < 0:
-            raise ValueError("negative powers are not defined here")
-        if e == 0:
-            return CycModP.one(self.p)
-        acc = self
-        for bit in bin(e)[3:]:
-            acc = acc * acc
-            if bit == "1":
-                acc = acc * self
-        return acc
-
     def galois(self, a: int) -> "CycModP":
         """Image under x -> x**a; a must be invertible mod p."""
         a %= self.p

@@ -20,10 +20,10 @@ exact, additive and Galois-equivariant.  sigma_a scales the moment m_d(v) =
 sum_k k**d v_k by a**d, and J sigma_-1(J) = l = 1 kills the even moments of
 log J, so S_n = 1 exactly when m_(p-n)(log J) = 0 (mod p).  The log itself
 is never formed: theta = x d/dx is a derivation of F_p[x]/(x**p - 1) with
-m_d(theta v) = m_(d+1)(v), and J**p = 1 there, so theta log J = theta J *
-J**(p-1) and
+m_d(theta v) = m_(d+1)(v), and J sigma_-1(J) = 1 makes sigma_-1(J) the
+inverse of J modulo Phi_p, so theta log J = theta J * sigma_-1(J) and
 
-    m_(p-n)(log J) = m_(p-n-1)(theta J * J**(p-1)).
+    m_(p-n)(log J) = m_(p-n-1)(theta J * sigma_-1(J)).
 
 Both sides change by multiples of Phi_p only, which every m_e with
 0 <= e <= p-2 kills, so the product is taken in F_p[x]/Phi_p.
@@ -105,7 +105,7 @@ def cyclotomic_numbers(index: np.ndarray, p: int) -> np.ndarray:
     y = 1 .. l-2 are consecutive entries of it, so one bincount of d*p + m
     counts them all.
     """
-    cells = np.multiply(index[1:-1], p, dtype=np.intp)  # intp: d*p + m overflows the index dtype
+    cells = np.multiply(index[1:-1], p, dtype=np.intp)  # bincount copies any other dtype to intp
     cells += index[2:]
     N = np.bincount(cells, minlength=p * p).reshape(p, p)
     N.setflags(write=False)
@@ -170,7 +170,7 @@ def exponent_set(ctx: TwistContext) -> ExponentSet:
     p = ctx.p
     J = twist_product(ctx)
     k = np.arange(p - 1, dtype=np.int64)
-    w = CycModP(p, k * J.coeffs) * J ** (p - 1)  # theta J / J, as J**p = 1
+    w = CycModP(p, k * J.coeffs) * J.galois(p - 1)
     col, hits = np.ones_like(k), []
     for n in range(p - 3, 1, -2):
         col = col * k * k % p  # k**(p-n-1) mod p; p**3 < 2**63 as CycModP needs p < 2**21

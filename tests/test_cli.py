@@ -239,6 +239,18 @@ def test_an_inverted_p_range_is_rejected(capsys, command):
     assert "--p-max 30 is below --p 37" in err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (("expp", "--p", "37", "--l", "149", "--l-max", "1000"), "--l-max"),
+    (("expp", "--p", "37", "--l", "149", "--count", "3"), "--count"),
+    (("trace", "--p", "5", "--l", "11", "--l-max", "100"), "--l-max"),
+    (("symbol", "--p", "37", "--n", "32", "--l", "149", "--l-max", "300"), "--l-max"),
+], ids=["expp-l-max", "expp-count", "trace-l-max", "symbol-l-max"])
+def test_l_refuses_a_bound_it_would_ignore(capsys, argv, flag):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert f"--l excludes {flag}" in err
+
+
 @pytest.mark.parametrize("l,msg", [("13", "l=13 does not split"), ("15", "l=15 is not prime")],
                          ids=["nonsplit", "composite"])
 def test_trace_rejects_a_bad_l(capsys, l, msg):

@@ -48,18 +48,6 @@ def test_mul_rejects_mismatched_rings():
         CycModP.one(5) * CycModP.one(7)
 
 
-def test_pow_matches_repeated_multiplication():
-    rng = random.Random(23)
-    for p in (5, 11):
-        a = rand_elt(rng, p)
-        acc = CycModP.one(p)
-        for e in range(9):
-            assert a**e == acc
-            acc = acc * a
-    with pytest.raises(ValueError):
-        CycModP.one(5) ** -1
-
-
 def test_galois_is_ring_automorphism():
     rng = random.Random(37)
     p = 11
@@ -97,8 +85,11 @@ def test_is_one_and_is_zero():
     assert CycModP.one(7).is_one()
     assert CycModP.zero(7).is_zero()
     assert not CycModP.monomial(7, 1).is_one()
-    x = CycModP.monomial(7, 1)
-    assert (x**7).is_one()
+    x = acc = CycModP.monomial(7, 1)
+    for _ in range(6):
+        assert not acc.is_one()
+        acc = acc * x
+    assert acc.is_one()
 
 
 def test_monomial_reduces_top_power():

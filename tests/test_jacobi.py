@@ -118,12 +118,20 @@ def test_twist_product_augmentation_is_one():
 
 
 def test_jacobi_sum_times_its_conjugate_is_l():
-    # J_i sigma_-1(J_i) = l, and l = 1 in F_p for split primes
+    # J_i sigma_-1(J_i) = l, and l = 1 in F_p for split primes, so the
+    # conjugate inverts every J_i and every twist product at any valid c
     for p, l in ((5, 31), (7, 43), (11, 23), (13, 79), (37, 149)):
         ctx = TwistContext.build(p, l)
         for i in range(1, p - 1):
             J = jacobi_sum(ctx, i)
             assert (J * J.galois(p - 1)).is_one(), (p, l, i)
+    rng = random.Random(1481)
+    for _ in range(12):
+        p = rng.choice((5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67))
+        l = rng.choice(list(split_primes(p, count=6)))
+        c = rng.choice(_primitive_roots(p))
+        J = twist_product(TwistContext.build(p, l, c=c))
+        assert (J * J.galois(p - 1)).is_one(), (p, l, c)
 
 
 def test_component_validates_exponent():
@@ -157,18 +165,24 @@ def test_exponent_set_agrees_with_per_component_checks():
 
 @pytest.mark.parametrize("p", [37, 41, 67, 101])
 def test_exponent_set_makes_logarithmically_many_products(p, monkeypatch):
-    # c-2 products for the twist, bit_length + popcount - 2 for J**(p-1), one for w
+    # c-2 products for the twist and one for theta J * sigma_-1(J), whose
+    # conjugate is the only Galois image; c = 6 at p = 41, 2 at the others
     ctx = TwistContext.build(p, next(split_primes(p)))
-    calls, mul = [], CycModP.__mul__
+    products, conjugations = [], []
+    mul, galois = CycModP.__mul__, CycModP.galois
 
-    def counted(self, other):
-        calls.append(1)
+    def counted_mul(self, other):
+        products.append(1)
         return mul(self, other)
 
-    monkeypatch.setattr(CycModP, "__mul__", counted)
+    def counted_galois(self, a):
+        conjugations.append(a)
+        return galois(self, a)
+
+    monkeypatch.setattr(CycModP, "__mul__", counted_mul)
+    monkeypatch.setattr(CycModP, "galois", counted_galois)
     exponent_set(ctx)
-    power = (p - 1).bit_length() + bin(p - 1).count("1") - 2
-    assert len(calls) == (ctx.c - 2) + power + 1, len(calls)
+    assert (len(products), conjugations) == ((ctx.c - 2) + 1, [p - 1])
 
 
 def test_exponent_set_choice_independent():
