@@ -142,7 +142,11 @@ def cmd_vandiver(args: argparse.Namespace) -> int:
     unmet: list[int] = []
 
     def verdicts():
-        for p in _prime_range(args):
+        primes = list(_prime_range(args))
+        for p in primes:  # each p needs a split prime within --l-max before the first row
+            if next(split_primes(p, bound=args.l_max), None) is None:
+                raise ValueError(f"--l-max {args.l_max} is below the first split prime of p={p}")
+        for p in primes:
             if args.mode == "a":
                 verdict = criterion_a(p, l=args.l, c=args.c, cache=cache)
             else:

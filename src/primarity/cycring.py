@@ -43,33 +43,9 @@ class CycModP:
             self.coeffs = reduce_mod_phi(arr % p, p)
         self.p = p
 
-    @classmethod
-    def zero(cls, p: int) -> "CycModP":
-        return cls(p, np.zeros(p - 1, dtype=np.int64))
-
-    @classmethod
-    def one(cls, p: int) -> "CycModP":
-        c = np.zeros(p - 1, dtype=np.int64)
-        c[0] = 1
-        return cls(p, c)
-
-    @classmethod
-    def monomial(cls, p: int, k: int, scalar: int = 1) -> "CycModP":
-        """scalar * x**k, reduced."""
-        c = np.zeros(p, dtype=np.int64)
-        c[k % p] = scalar % p
-        return cls(p, c)
-
-    def _require_same_ring(self, other: "CycModP") -> None:
+    def __mul__(self, other: "CycModP") -> "CycModP":
         if self.p != other.p:
             raise ValueError(f"mixed rings: p={self.p} vs p={other.p}")
-
-    def __add__(self, other: "CycModP") -> "CycModP":
-        self._require_same_ring(other)
-        return CycModP(self.p, (self.coeffs + other.coeffs) % self.p)
-
-    def __mul__(self, other: "CycModP") -> "CycModP":
-        self._require_same_ring(other)
         # convolution peaks below (p-1) * (p-1)**2 < 2**63 for p < 2**21
         raw = np.convolve(self.coeffs, other.coeffs) % self.p
         return CycModP(self.p, reduce_mod_phi(raw, self.p))
@@ -83,16 +59,6 @@ class CycModP:
         idx = (np.arange(self.p - 1, dtype=np.int64) * a) % self.p
         np.add.at(out, idx, self.coeffs)
         return CycModP(self.p, (out[: self.p - 1] - out[self.p - 1]) % self.p)
-
-    def augmentation(self) -> int:
-        """Image in F_p under x -> 1."""
-        return int(self.coeffs.sum() % self.p)
-
-    def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and not self.coeffs[1:].any()
-
-    def is_zero(self) -> bool:
-        return not self.coeffs.any()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CycModP):

@@ -36,7 +36,6 @@ from operator import attrgetter
 
 import numpy as np
 
-from .cycring import CycModP
 from .jacobi import TwistContext, check_exponent, jacobi_counts, pair_key
 from .modarith import factorize, is_prime, primitive_root
 from .records import JsonlStore
@@ -62,10 +61,6 @@ class CycBigInt:
         self.p = p
         self.coeffs = [int(c) for c in coeffs]
 
-    @classmethod
-    def one(cls, p: int) -> "CycBigInt":
-        return cls(p, [1] + [0] * (p - 2))
-
     def mul(self, other: "CycBigInt") -> "CycBigInt":
         """Product reduced mod Phi_p."""
         if self.p != other.p:
@@ -78,9 +73,6 @@ class CycBigInt:
                     if b:
                         folded[(i + j) % p] += a * b
         return CycBigInt(p, folded)
-
-    def __mul__(self, other: "CycBigInt") -> "CycBigInt":
-        return self.mul(other)
 
     def galois(self, a: int) -> "CycBigInt":
         """Image under x -> x**a; a must be invertible mod p."""
@@ -97,10 +89,6 @@ class CycBigInt:
         c = list(self.coeffs)
         c[0] -= 1
         return CycBigInt(self.p, c)
-
-    def to_mod_p(self) -> CycModP:
-        """Reduction of every coefficient mod p."""
-        return CycModP(self.p, np.array([c % self.p for c in self.coeffs], dtype=np.int64))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CycBigInt):

@@ -33,7 +33,10 @@ from .records import JsonlStore, ordered_map, write_csv
 
 
 class RankAccumulator:
-    """Incremental Gaussian elimination over F_p, width p-1."""
+    """Incremental Gaussian elimination over F_p, width p-1.
+
+    Each basis row is stored scaled so that its pivot entry is 1.
+    """
 
     def __init__(self, p: int) -> None:
         self.p = p
@@ -55,11 +58,11 @@ class RankAccumulator:
             raise ValueError(f"vector width {len(v)} != {p - 1}")
         for row, c in zip(self.basis, self.pivots):
             if v[c]:
-                v = (v - v[c] * pow(int(row[c]), -1, p) % p * row) % p
+                v = (v - v[c] * row) % p
         nz = np.nonzero(v)[0]
         fresh = len(nz) > 0
         if fresh:
-            self.basis.append(v)
+            self.basis.append(v * pow(int(v[nz[0]]), -1, p) % p)
             self.pivots.append(int(nz[0]))
         if label is not None:
             self.history.append((label, self.rank))

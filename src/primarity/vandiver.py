@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from .bernoulli import irregularity_report
-from .jacobi import ExponentSet, check_exponent, exponent_set_for, pair_key
+from .jacobi import ExponentSet, exponent_set_for, pair_key
 from .modarith import split_primes
 from .records import JsonlStore, ordered_map
 
@@ -235,10 +235,6 @@ class DensityTable:
     last_l: int
 
     hits = property(lambda self: sum(self.counts))
-
-    def count_for(self, n: int) -> int:
-        check_exponent(self.p, n)
-        return self.counts[n // 2 - 1]
 
     def render_vector(self) -> str:
         return "[" + ",".join(str(v) for v in self.counts) + "]"

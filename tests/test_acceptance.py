@@ -175,7 +175,7 @@ def test_criterion_08_property_suite():
         while not generator_test(l)(g):
             g = rng.randrange(2, l)
         ctx = TwistContext.build(p, l, c=c, g=g)
-        assert twist_product(ctx).augmentation() == 1, (p, l, c)
+        assert int(twist_product(ctx).coeffs.sum()) % p == 1, (p, l, c)
         assert exponent_set(ctx).members == base, (p, l, c, g)
 
     # exact conjugate product J_i * sigma_-1(J_i) = l in Z[x]/Phi_p
@@ -194,7 +194,7 @@ def test_criterion_08_property_suite():
             J, one = twist_product(ctx).coeffs.tolist(), [1] + [0] * (p - 2)
             for n in range(2, p - 2, 2):
                 half = component_naive(p, J, n)
-                full = exact_twist_component(ctx, n).to_mod_p().coeffs.tolist()
+                full = [v % p for v in exact_twist_component(ctx, n).coeffs]
                 assert full == mul_mod_phi_naive(p, half, half), (p, l, n)
                 assert (full == one) == (half == one), (p, l, n)
 

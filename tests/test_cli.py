@@ -230,6 +230,14 @@ def test_l_must_split_every_p_of_the_range_before_the_first_row(capsys, command)
     assert "l=149 does not split: l % p = 26" in err
 
 
+def test_l_max_must_reach_a_split_prime_of_every_p_before_the_first_row(capsys):
+    # the first split prime of 59 is 473, so p = 37 .. 53 must not be printed either
+    rc, out, err = run(capsys, "vandiver", "--p", "37", "--p-max", "199", "--mode", "b",
+                       "--l-max", "400")
+    assert (rc, out) == (2, "")
+    assert "--l-max 400 is below the first split prime of p=59" in err
+
+
 @pytest.mark.parametrize("command", [("expp",), ("vandiver", "--mode", "a"), ("vandiver",),
                                      ("vandiver", "--format", "csv")],
                          ids=["expp", "vandiver-a", "vandiver-b", "vandiver-csv"])

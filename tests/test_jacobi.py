@@ -114,7 +114,7 @@ def test_jacobi_sum_index_range():
 
 def test_twist_product_augmentation_is_one():
     for p, l in ((5, 31), (7, 113), (11, 67), (37, 149)):
-        assert twist_product(TwistContext.build(p, l)).augmentation() == 1
+        assert int(twist_product(TwistContext.build(p, l)).coeffs.sum()) % p == 1
 
 
 def test_jacobi_sum_times_its_conjugate_is_l():
@@ -124,14 +124,14 @@ def test_jacobi_sum_times_its_conjugate_is_l():
         ctx = TwistContext.build(p, l)
         for i in range(1, p - 1):
             J = jacobi_sum(ctx, i)
-            assert (J * J.galois(p - 1)).is_one(), (p, l, i)
+            assert J * J.galois(p - 1) == CycModP(p, [1]), (p, l, i)
     rng = random.Random(1481)
     for _ in range(12):
         p = rng.choice((5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67))
         l = rng.choice(list(split_primes(p, count=6)))
         c = rng.choice(_primitive_roots(p))
         J = twist_product(TwistContext.build(p, l, c=c))
-        assert (J * J.galois(p - 1)).is_one(), (p, l, c)
+        assert J * J.galois(p - 1) == CycModP(p, [1]), (p, l, c)
 
 
 def test_component_validates_exponent():

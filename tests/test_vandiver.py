@@ -216,13 +216,7 @@ def test_density_scan_on_hit_events():
 def test_density_table_accessors():
     table = DensityTable(p=37, counts=tuple(range(17)), processed=9, last_l=149)
     assert table.hits == sum(range(17))
-    assert table.count_for(2) == 0
-    assert table.count_for(34) == 16
     assert table.render_vector() == "[" + ",".join(str(v) for v in range(17)) + "]"
-    with pytest.raises(ValueError):
-        table.count_for(3)
-    with pytest.raises(ValueError):
-        table.count_for(36)
 
 
 @pytest.mark.long
