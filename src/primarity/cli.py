@@ -74,15 +74,19 @@ def _check_p(p: int, least: int) -> None:
 
 def _prime_range(args: argparse.Namespace) -> Iterator[int]:
     """Primes from --p to --p-max, checked when the iteration starts: the
-    range must not be inverted, and an --l must split every one of them."""
+    range must not be inverted, an --l must split every one of them, and an
+    --l-max must reach a split prime of every one of them."""
     _check_p(args.p, 3)
     p_max = args.p if args.p_max is None else args.p_max
     if p_max < args.p:
         raise ValueError(f"--p-max {p_max} is below --p {args.p}")
-    if args.l is not None:
-        for q in filter(is_prime, range(args.p, p_max + 1)):
+    primes = list(filter(is_prime, range(args.p, p_max + 1)))
+    for q in primes:
+        if args.l is not None:
             check_pair(q, args.l)
-    yield from filter(is_prime, range(args.p, p_max + 1))
+        elif args.l_max is not None and next(split_primes(q, bound=args.l_max), None) is None:
+            raise ValueError(f"--l-max {args.l_max} is below the first split prime of p={q}")
+    yield from primes
 
 
 def _l_stream(args: argparse.Namespace, p: int):
@@ -142,11 +146,7 @@ def cmd_vandiver(args: argparse.Namespace) -> int:
     unmet: list[int] = []
 
     def verdicts():
-        primes = list(_prime_range(args))
-        for p in primes:  # each p needs a split prime within --l-max before the first row
-            if next(split_primes(p, bound=args.l_max), None) is None:
-                raise ValueError(f"--l-max {args.l_max} is below the first split prime of p={p}")
-        for p in primes:
+        for p in _prime_range(args):
             if args.mode == "a":
                 verdict = criterion_a(p, l=args.l, c=args.c, cache=cache)
             else:

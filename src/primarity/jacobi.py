@@ -12,7 +12,10 @@ in F_p[x]/Phi_p(x) via cycring.  Every J_i, exact ones included, is read
 off one table of cyclotomic numbers N[d][m] = #{y in C_d : 1 + y in C_m},
 C_d the coset of g**d modulo pth powers, counted once per pair from the
 coset indices of modarith.coset_index; spectra builds trace polynomials
-from the same table.
+from the same table.  l - 1 = 2ip makes -1 = g**(ip) a member of C_0, so
+y -> -1 - y maps the pair (y, 1 + y) to the cell (m, d) of its mirror:
+N = N.T (Dickson's (i, j) = (j, i) for even (l-1)/p), and half the pairs
+count the whole table.
 
 Exponent sets never multiply out S_n.  Mod p, Phi_p = (x-1)**(p-1) and J
 has augmentation 1, so log J = sum_{k<=p-2} (-1)**(k+1) (J-1)**k / k is
@@ -101,13 +104,26 @@ def pair_key(p: int, l: int, c: int | None = None,
 def cyclotomic_numbers(index: np.ndarray, p: int) -> np.ndarray:
     """N[d][m] = #{y in C_d : 1 + y in C_m} mod l = len(index), read-only.
 
-    index is modarith.coset_index(l, g, p).  The pairs (y, 1 + y) for
-    y = 1 .. l-2 are consecutive entries of it, so one bincount of d*p + m
-    counts them all.
+    index is modarith.coset_index(l, g, p), so 2p divides l - 1.  The
+    pairs (y, 1 + y) are consecutive entries of it, and since -1 lies in
+    C_0, the pair y' = l - 1 - y has the cell (ind(y + 1), ind(y)): one
+    bincount of d*p + m counts the pairs with y in [1, h-1], h = (l-1)/2,
+    and one add.at adds their mirrors.  That leaves y = h, whose partner
+    h + 1 = -h is its own mirror, so N is symmetric by construction.
     """
-    cells = np.multiply(index[1:-1], p, dtype=np.intp)  # bincount copies any other dtype to intp
-    cells += index[2:]
-    N = np.bincount(cells, minlength=p * p).reshape(p, p)
+    l = len(index)
+    if (l - 1) % (2 * p):
+        raise ValueError(f"2p with p={p} does not divide len(index) - 1 = {l - 1}")
+    h = (l - 1) // 2
+    lo, hi = index[1:h], index[2:h + 1]
+    cells = np.multiply(lo, p, dtype=np.intp)  # bincount copies any other dtype to intp
+    cells += hi
+    N = np.bincount(cells, minlength=p * p)
+    np.multiply(hi, p, out=cells, dtype=np.intp)
+    cells += lo
+    np.add.at(N, cells, 1)
+    N[int(index[h]) * (p + 1)] += 1
+    N = N.reshape(p, p)
     N.setflags(write=False)
     return N
 

@@ -4,9 +4,11 @@ Everything here works with plain Python ints except the arrays sized by a
 prime l, which are dense numpy arrays: every Jacobi-sum accumulation
 consumes all l-2 coset indices ind(v) = log_g(v) mod p of a prime pair, so
 a full array amortizes better than any per-query method.  coset_index
-builds exactly that array; the full log table serves the dense reference
-routes.  Both come from one meet-in-the-middle powering and refuse moduli
-above LOG_TABLE_CAP to keep the memory footprint bounded.
+builds exactly that array from the first half of the powers of g, since
+-1 = g**((l-1)/2) lies in C_0 for a split prime l = 1 + 2ip and so
+ind(l - v) = ind(v); the full log table serves the dense reference routes.
+Both come from one meet-in-the-middle powering and refuse moduli above
+LOG_TABLE_CAP to keep the memory footprint bounded.
 """
 
 from __future__ import annotations
@@ -93,12 +95,12 @@ class LogTable:
     dlog: np.ndarray
 
 
-def _power_blocks(l: int, g: int, m: int) -> np.ndarray:
-    """g**(t*m + j) mod l at [t, j], int64, for every block t that starts below l - 1.
+def _power_blocks(l: int, g: int, m: int, count: int) -> np.ndarray:
+    """g**(t*m + j) mod l at [t, j], int64, for every block t that starts below count.
 
     Meet in the middle: one run of m small powers and one of the block
     powers g**(t*m), multiplied out in one pass.  The last block may run
-    past exponent l - 2 into repeats of g**(k - (l-1)).
+    past exponent count - 1; past l - 2 the powers repeat as g**(k - (l-1)).
     """
     if l > LOG_TABLE_CAP:
         raise ValueError(f"modulus {l} exceeds the log-table cap {LOG_TABLE_CAP}")
@@ -108,16 +110,16 @@ def _power_blocks(l: int, g: int, m: int) -> np.ndarray:
     for _ in range(m - 1):
         small.append(small[-1] * g % l)
     gm = pow(g, m, l)
-    for _ in range((l - 2) // m):
+    for _ in range((count - 1) // m):
         big.append(big[-1] * gm % l)
     blocks = np.multiply.outer(np.array(big), np.array(small))
-    blocks %= l  # in place: a fresh int64 array of l entries doubles the page faults
+    blocks %= l  # in place: a fresh int64 array as large doubles the page faults
     return blocks
 
 
 def build_log_table(l: int, g: int) -> LogTable:
     """Dense log table mod l in one O(l) pass of meet-in-the-middle powering."""
-    powers = _power_blocks(l, g, max(1, int(l ** 0.5))).reshape(-1)[: l - 1]
+    powers = _power_blocks(l, g, max(1, int(l ** 0.5)), l - 1).reshape(-1)[: l - 1]
     dlog = np.zeros(l, dtype=np.int32)
     dlog[powers] = np.arange(l - 1, dtype=np.int32)
     powers = powers.astype(np.int32)  # scattered through while still intp
@@ -129,18 +131,23 @@ def build_log_table(l: int, g: int) -> LogTable:
 def coset_index(l: int, g: int, p: int) -> np.ndarray:
     """ind[v] = log_g(v) mod p for v in [1, l-1], read-only; ind[0] is unused.
 
-    The entries take the least unsigned dtype that holds p - 1: uint8
-    below p = 256, uint16 above.  With a block length m divisible by p,
-    g**(t*m + j) has index j mod p, so one row pattern is scattered
-    through every block; a block running past l - 2 rewrites the same
-    values, since p divides l - 1.
+    2p must divide l - 1, as it does for every split prime l = 1 + 2ip.
+    The entries take the least unsigned dtype that holds p: uint8 below
+    p = 256, uint16 above.  Only g**k for k < h = (l-1)/2 is formed: with a
+    block length m divisible by p, g**(t*m + j) has index j mod p, so one
+    row pattern is scattered through every block, and a block running past
+    h - 1 rewrites the same values, since g**(k + h) = -g**k and p divides
+    h.  -1 = g**h lies in C_0, so ind(l - v) = ind(v), and one minimum with
+    the mirrored array fills in each entry left at the sentinel p.
     """
-    if p < 1 or (l - 1) % p:
-        raise ValueError(f"p={p} does not divide l - 1 = {l - 1}")
+    if p < 1 or (l - 1) % (2 * p):
+        raise ValueError(f"2p with p={p} does not divide l - 1 = {l - 1}")
+    h = (l - 1) // 2
     m = p * max(1, round(l ** 0.5 / p))
-    blocks = _power_blocks(l, g, m)
-    index = np.zeros(l, dtype=np.min_scalar_type(p - 1))
+    blocks = _power_blocks(l, g, m, h)
+    index = np.full(l, p, dtype=np.min_scalar_type(p))
     index[blocks] = np.arange(m) % p
+    np.minimum(index[1:], index[:0:-1], out=index[1:])
     index.setflags(write=False)
     return index
 

@@ -238,6 +238,15 @@ def test_l_max_must_reach_a_split_prime_of_every_p_before_the_first_row(capsys):
     assert "--l-max 400 is below the first split prime of p=59" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_expp_l_max_must_reach_a_split_prime_of_every_p_before_the_first_row(capsys, fmt):
+    # 53 splits at 107, but 59 has no split prime below 473: no row, no header
+    rc, out, err = run(capsys, "expp", "--p", "53", "--p-max", "67", "--l-max", "400",
+                       "--format", fmt)
+    assert (rc, out) == (2, "")
+    assert "--l-max 400 is below the first split prime of p=59" in err
+
+
 @pytest.mark.parametrize("command", [("expp",), ("vandiver", "--mode", "a"), ("vandiver",),
                                      ("vandiver", "--format", "csv")],
                          ids=["expp", "vandiver-a", "vandiver-b", "vandiver-csv"])

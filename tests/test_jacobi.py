@@ -71,11 +71,22 @@ def test_jacobi_sum_matches_character_sum_oracle():
 def test_cyclotomic_kernel_matches_oracles():
     # p = 3, the smallest split l of several p, random (p, l) with the
     # default root and random (p, l) with another primitive root g; p = 257
-    # has p*p = 66049 cells, past int16, and p = 5 runs at l = 30011
+    # has p*p = 66049 cells, past int16, and p = 5 runs at l = 30011.  The
+    # kernel counts the pairs below h = (l-1)/2, their mirrors and the cell
+    # (ind(h), ind(h)), with ind(h) = -ind(2): nonzero at (37, 149), and 0 at
+    # the pairs where 2 is a pth power, (3, 31), (5, 151), (11, 331) and
+    # (37, 11471).  (257, 151631) is uint16 with a last block of the coset
+    # index that runs past h - 1 (m = 514, h = 75815).
     rng = random.Random(31)
     cases = [(3, l, None) for l in split_primes(3, count=3)]
     cases += [(p, next(split_primes(p)), None) for p in (5, 7, 11, 37, 257)]
     cases += [(5, 30011, None)]
+    two_is_a_pth_power = [(3, 31), (5, 151), (11, 331), (37, 11471)]
+    cases += [(p, l, None) for p, l in two_is_a_pth_power]
+    cases += [(257, 151631, None)]
+    assert coset_index(149, 2, 37)[74] != 0
+    for p, l in two_is_a_pth_power:
+        assert coset_index(l, primitive_root(l), p)[(l - 1) // 2] == 0, (p, l)
     for _ in range(6):
         p = rng.choice((5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43))
         l = rng.choice(list(split_primes(p, count=8)))
@@ -99,7 +110,7 @@ def test_cyclotomic_numbers_invariants_at_scan37_high_size():
     M, is0 = (l - 1) // p, np.arange(p) == 0
     assert (N.sum(axis=1) == M - is0).all()  # y = -1 in C_0 has 1 + y = 0
     assert (N.sum(axis=0) == M - is0).all()  # 1 + y = 1 in C_0 needs y = 0
-    assert (N == N.T).all()
+    assert (N == N.T).all()  # by construction: the kernel adds each cell's mirror
     d, m = np.ogrid[:p, :p]
     assert (N[-d % p, (m - d) % p] == N).all()  # y -> 1/y
 

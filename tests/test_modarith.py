@@ -126,9 +126,9 @@ def test_log_table_matches_naive_dlog():
         assert t.powers[k] == v
 
 
-# both dense arrays of l, through the one set of checks; p = l - 1 makes
-# the coset index the whole log
-BUILDERS = [build_log_table, lambda l, g: coset_index(l, g, l - 1)]
+# both dense arrays of l, through the one set of checks; p = (l-1)/2, the
+# largest p with 2p | l - 1, makes the coset index the log mod (l-1)/2
+BUILDERS = [build_log_table, lambda l, g: coset_index(l, g, (l - 1) // 2)]
 
 
 def test_log_table_rejects_non_primitive_base():
@@ -161,7 +161,8 @@ def test_log_table_accepts_exactly_the_bases_of_full_order(l):
             continue
         accepted.add(g)
         assert sorted(t.powers.tolist()) == list(range(1, l))
-        assert coset_index(l, g, l - 1)[1:].tolist() == t.dlog[1:].tolist()
+        p = (l - 1) // 2
+        assert coset_index(l, g, p)[1:].tolist() == (t.dlog[1:] % p).tolist()
     assert accepted == {g for g in range(2 * l) if multiplicative_order_naive(g, l) == l - 1}
 
 
@@ -182,11 +183,13 @@ def test_log_table_arrays_are_read_only():
     assert t.powers.dtype == np.int32 and t.dlog.dtype == np.int32
 
 
-# (p, l, g); m is the block length p * max(1, round(sqrt(l) / p)).  uint8 at
-# p = 37 with m = p > sqrt(l), with a root other than the least, and with
-# the last block running past l - 2 (p = 3, l = 103, m = 9; p = 37, l =
-# 21683, m = 148); uint16 with m = p > sqrt(l) (p = 331, l = 1987) and with
-# the wrap (p = 257, l = 433817, m = 771).
+# (p, l, g); m is the block length p * max(1, round(sqrt(l) / p)), and only
+# the exponents below h = (l-1)/2 are formed.  uint8 at p = 37 with m = p >
+# sqrt(l), with a root other than the least, and with the last block
+# running past h - 1 (p = 3, l = 103, m = 9, h = 51; p = 37, l = 21683,
+# m = 148, h = 10841); uint16 with m = p > sqrt(l) (p = 331, l = 1987) and
+# with the wrap (p = 257, l = 433817, m = 771, h = 216908).  m = p never
+# wraps, as h = ip.
 COSET_PAIRS = [(37, 149, 2), (37, 149, 3), (3, 103, 5), (37, 21683, 2), (37, 21683, 32),
                (331, 1987, 2), (257, 433817, 3)]
 
@@ -211,6 +214,15 @@ def test_coset_index_is_read_only():
 def test_coset_index_rejects_p_not_dividing_l_minus_1(p):
     with pytest.raises(ValueError, match=f"p={p} does not divide l - 1 = 148"):
         coset_index(149, 2, p)
+
+
+@pytest.mark.parametrize("p", [4, 148])
+def test_coset_index_and_cyclotomic_numbers_reject_p_with_2p_not_dividing_l_minus_1(p):
+    # p divides l - 1 = 148 but 2p does not: -1 would not lie in C_0
+    with pytest.raises(ValueError, match=f"2p with p={p} does not divide l - 1 = 148"):
+        coset_index(149, 2, p)
+    with pytest.raises(ValueError, match=rf"2p with p={p} does not divide len\(index\) - 1 = 148"):
+        cyclotomic_numbers(coset_index(149, 2, 37), p)
 
 
 @pytest.mark.parametrize("p", [9, 15, 91])
