@@ -1,69 +1,68 @@
-"""Generalized Bernoulli numbers B_{1, omega^m} and irregular exponents.
+"""Bernoulli quotients B_n / n mod p and the irregular exponents of p.
 
-The Teichmuller character omega is evaluated mod p**2, where it is simply
-a -> a**p.  For odd m the first Bernoulli number of omega^m is
-
-    B_{1, omega^m} = (1/p) * sum_{a=1}^{p-1} omega(a)**m * a  (mod p),
-
-and the even n in [2, p-3] with B_{1, omega^(n-1)} = 0 mod p are exactly
-the irregular exponents of p (Kummer: B_{1, omega^(n-1)} = B_n / n mod p).
+x / (e**x - 1) = sum B_k x**k / k! is the inverse of (e**x - 1) / x, whose
+coefficients 1/(k+1)! are units mod p below x**(p-2).  Inverting it term by
+term mod p gives B_n / n for every even n <= p-3 (Buhler, Crandall, Ernvall
+and Metsankyla, Math. Comp. 1993, without the FFT).  By Kummer's congruence
+B_{1, omega^(n-1)} = B_n / n mod p for the Teichmuller character omega; the
+even n in [2, p-3] where it vanishes are the irregular exponents of p.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+
+import numpy as np
 
 from .jacobi import ExponentSet, check_exponent
 from .modarith import is_prime
 
 
-def teichmuller(a: int, p: int) -> int:
-    """omega(a) mod p**2, the (p-1)st root of unity lifting a."""
-    if a % p == 0:
-        raise ValueError(f"a={a} is divisible by p={p}")
-    return pow(a, p, p * p)
+@lru_cache(maxsize=1)  # b1_omega callers loop over n at one p
+def _bn_over_n(p: int) -> tuple[int, ...]:
+    """B_n / n mod p for n = 2, 4, ..., p-3, in order.
+
+    With f_k = 1/(k+1)!, b_k = B_k / k! = -sum_{j=1..k} f_j b_(k-j) from
+    b_0 = 1, one int64 dot per k, and B_n / n = b_n (n-1)!.  Raises
+    ArithmeticError unless b_k = 0 at every odd k in [3, p-4], as B_k is.
+    """
+    if p >= 1 << 21:  # the dots sum fewer than p terms below p**2 each
+        raise ValueError(f"p={p} is not below 2**21, the int64 bound of the series")
+    fact = [1]  # k! mod p for k <= p-2
+    for k in range(1, p - 1):
+        fact.append(fact[-1] * k % p)
+    f = np.array([pow(v, -1, p) for v in fact[1:]], dtype=np.int64)
+    b = np.zeros(p - 2, dtype=np.int64)  # b_k for k <= p-3
+    b[0] = 1
+    for k in range(1, p - 2):
+        b[k] = -int(np.dot(b[:k], f[k:0:-1])) % p
+    if b[3 : p - 3 : 2].any():
+        raise ArithmeticError(f"B_k / k! is not 0 mod p={p} at some odd k in [3, {p - 4}]")
+    return tuple(int(b[n]) * fact[n - 1] % p for n in range(2, p - 2, 2))
 
 
 def b1_omega(p: int, m: int) -> int:
-    """B_{1, omega^m} mod p for odd m with 1 <= m <= p-4."""
+    """B_{1, omega^m} mod p for odd m with 1 <= m <= p-4, that is B_(m+1) / (m+1)."""
     if m % 2 == 0 or not 1 <= m <= p - 4:
         raise ValueError(f"m={m} must be odd and within [1, {p - 4}]")
-    return next(_b1_omegas(p, m))
-
-
-def _b1_omegas(p: int, m0: int):
-    """B_{1, omega^m} mod p for odd m = m0, m0+2, ..., p-4, in order.
-
-    omega(a) is computed once per a, and each term omega(a)**m * a steps
-    to the next m by one product with omega(a)**2.
-    """
-    p2 = p * p
-    omegas = [pow(a, p, p2) for a in range(1, p)]
-    terms = [pow(w, m0, p2) * a % p2 for a, w in enumerate(omegas, 1)]
-    steps = [w * w % p2 for w in omegas]
-    for m in range(m0, p - 3, 2):
-        tot = sum(terms) % p2
-        if tot % p != 0:
-            # the character sum is divisible by p for every odd m != -1 mod p-1
-            raise ArithmeticError(f"character sum for p={p}, m={m} not divisible by p")
-        yield tot // p
-        terms = [t * s % p2 for t, s in zip(terms, steps)]
+    return _bn_over_n(p)[(m - 1) // 2]
 
 
 def irregularity_report(p: int) -> ExponentSet:
-    """ExponentSet of the even n in [2, p-3] with B_{1, omega^(n-1)} = 0 mod p.
+    """ExponentSet of the even n in [2, p-3] with B_n / n = 0 mod p.
 
     Its size is the irregularity index of p.  Any odd prime p is accepted;
     p = 3 has no such n and gets the empty set.
     """
     if p < 3 or not is_prime(p):
         raise ValueError(f"p={p} is not an odd prime")
-    hits = tuple(n for n, b in zip(range(2, p - 2, 2), _b1_omegas(p, 1)) if b == 0)
+    hits = tuple(n for n, b in zip(range(2, p - 2, 2), _bn_over_n(p)) if b == 0)
     return ExponentSet(p, hits)
 
 
 def b_c_factor(p: int, c: int, n: int) -> int:
-    """(c - omega^(p-n)(c)) * B_{1, omega^(n-1)} mod p."""
+    """(c - omega^(p-n)(c)) * B_{1, omega^(n-1)} mod p, with omega(c) = c mod p."""
     if not 2 <= c <= p - 1:
         raise ValueError(f"c={c} out of range [2, {p - 1}]")
     check_exponent(p, n)
-    omega_c = pow(teichmuller(c, p), p - n, p * p)
-    return (c - omega_c) * b1_omega(p, n - 1) % p
+    return (c - pow(c, p - n, p)) * b1_omega(p, n - 1) % p

@@ -177,14 +177,25 @@ def bn_over_n_mod_p(n: int, p: int) -> int:
     return b.numerator * pow(den, -1, p) % p
 
 
-def teichmuller_bruteforce(a: int, p: int) -> int:
-    """The unique lift of a with w**(p-1) = 1 mod p**2, by search."""
+def b1_omegas_stepped(p: int, m0: int):
+    """B_{1, omega^m} mod p for odd m = m0, m0+2, ..., p-4, in order.
+
+    The Teichmuller character omega is evaluated mod p**2, where it is simply
+    a -> a**p, and B_{1, omega^m} = (1/p) * sum_{a=1}^{p-1} omega(a)**m * a.
+    omega(a) is computed once per a, and each term omega(a)**m * a steps
+    to the next m by one product with omega(a)**2.
+    """
     p2 = p * p
-    for t in range(p):
-        w = (a + t * p) % p2
-        if pow(w, p - 1, p2) == 1:
-            return w
-    raise AssertionError(f"no Teichmuller lift of {a} mod {p}**2")
+    omegas = [pow(a, p, p2) for a in range(1, p)]
+    terms = [pow(w, m0, p2) * a % p2 for a, w in enumerate(omegas, 1)]
+    steps = [w * w % p2 for w in omegas]
+    for m in range(m0, p - 3, 2):
+        tot = sum(terms) % p2
+        if tot % p != 0:
+            # the character sum is divisible by p for every odd m != -1 mod p-1
+            raise ArithmeticError(f"character sum for p={p}, m={m} not divisible by p")
+        yield tot // p
+        terms = [t * s % p2 for t, s in zip(terms, steps)]
 
 
 def multiplicative_order_naive(a: int, l: int) -> int | None:

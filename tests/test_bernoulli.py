@@ -1,31 +1,20 @@
-"""Teichmuller lifts, generalized Bernoulli numbers, irregularity."""
+"""Bernoulli quotients from the series x / (e**x - 1) mod p, irregularity.
 
+The production series is pinned to two independent oracles: the rational
+B_n of `oracles.bn_over_n_mod_p` and the Teichmuller character sums mod
+p**2 of `oracles.b1_omegas_stepped`.
+"""
+
+import numpy as np
 import pytest
 
-from primarity.bernoulli import _b1_omegas, b1_omega, b_c_factor, irregularity_report, teichmuller
+from primarity.bernoulli import _bn_over_n, b1_omega, b_c_factor, irregularity_report
 from primarity.jacobi import ExponentSet
 
-from _goldens import B_C_FACTOR_VALUES, IRREGULAR_EXPONENTS, TEICHMULLER_VALUES
-from oracles import bn_over_n_mod_p, teichmuller_bruteforce
+from _goldens import B_C_FACTOR_VALUES, IRREGULAR_EXPONENTS
+from oracles import b1_omegas_stepped, bn_over_n_mod_p, is_prime_naive
 
-
-@pytest.mark.parametrize("a,p,want", [(k[1], k[0], v) for k, v in TEICHMULLER_VALUES.items()])
-def test_teichmuller_values(a, p, want):
-    assert teichmuller(a, p) == want
-
-
-@pytest.mark.parametrize("p", [5, 7, 11, 13, 37])
-def test_teichmuller_properties(p):
-    p2 = p * p
-    for a in range(1, p):
-        w = teichmuller(a, p)
-        assert w % p == a % p
-        assert pow(w, p - 1, p2) == 1
-        assert w == teichmuller_bruteforce(a, p)
-    with pytest.raises(ValueError):
-        teichmuller(p, p)
-    with pytest.raises(ValueError):
-        teichmuller(0, p)
+PRIMES_BELOW_1000 = [p for p in range(5, 1000) if is_prime_naive(p)]
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47])
@@ -37,10 +26,46 @@ def test_b1_omega_matches_bernoulli_quotients(p):
 
 @pytest.mark.parametrize("p", [5, 7, 37, 101, 157])
 def test_stepped_b1_omegas_match_bernoulli_quotients(p):
-    # irregularity_report reads every m from one pass stepping by omega(a)**2
+    # the Teichmuller oracle reads every m from one pass stepping by omega(a)**2
     want = [bn_over_n_mod_p(n, p) for n in range(2, p - 2, 2)]
-    assert list(_b1_omegas(p, 1)) == want
-    assert list(_b1_omegas(p, 3)) == want[1:]
+    assert list(b1_omegas_stepped(p, 1)) == want
+    assert list(b1_omegas_stepped(p, 3)) == want[1:]
+
+
+def _check_against_teichmuller_oracle(p):
+    want = list(b1_omegas_stepped(p, 1))
+    evens = range(2, p - 2, 2)
+    assert [b1_omega(p, n - 1) for n in evens] == want, p
+    assert irregularity_report(p).members == tuple(n for n, b in zip(evens, want) if b == 0), p
+
+
+@pytest.mark.parametrize("p", [p for p in PRIMES_BELOW_1000 if p < 300] + [491, 691])
+def test_series_matches_teichmuller_oracle(p):
+    # 491 has index 3 and 691 index 2
+    _check_against_teichmuller_oracle(p)
+
+
+@pytest.mark.extended
+def test_series_matches_teichmuller_oracle_below_1000():
+    for p in PRIMES_BELOW_1000:
+        _check_against_teichmuller_oracle(p)
+
+
+def test_series_refuses_a_wrong_even_term(monkeypatch):
+    # one unit off in the dot behind b_10 alone moves b_11 by f_1 = 1/2, off zero
+    dot = np.dot
+    monkeypatch.setattr(np, "dot", lambda a, b: dot(a, b) + (len(a) == 10))
+    _bn_over_n.cache_clear()
+    with pytest.raises(ArithmeticError, match="odd k in \\[3, 33\\]"):
+        irregularity_report(37)
+
+
+def test_series_refuses_p_from_2_to_the_21():
+    # 2097169 is the least prime above 2**21; the refusal comes before any work
+    with pytest.raises(ValueError, match="2\\*\\*21"):
+        irregularity_report(2097169)
+    with pytest.raises(ValueError, match="2\\*\\*21"):
+        b1_omega(2097169, 1)
 
 
 def test_b1_omega_range_checks():

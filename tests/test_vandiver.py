@@ -125,12 +125,12 @@ def test_verdict_json_shape():
 
 @pytest.mark.parametrize("p", [11, 29, 43, 53])
 def test_minimal_empty_l_small(p):
-    assert minimal_empty_l(p) == MINIMAL_L[p]
+    assert minimal_empty_l(p, bound=MINIMAL_L[p][0]) == MINIMAL_L[p]
 
 
 @pytest.mark.parametrize("p", [5, 7, 13, 37])
 def test_minimal_empty_l_first_prime_suffices(p):
-    assert minimal_empty_l(p) == (FIRST_SPLIT[p][0], 1)
+    assert minimal_empty_l(p, bound=FIRST_SPLIT[p][0]) == (FIRST_SPLIT[p][0], 1)
 
 
 def test_minimal_empty_l_respects_bound():
