@@ -56,8 +56,7 @@ class CycModP:
         if a == 0:
             raise ValueError("galois index must be nonzero mod p")
         out = np.zeros(self.p, dtype=np.int64)
-        idx = (np.arange(self.p - 1, dtype=np.int64) * a) % self.p
-        np.add.at(out, idx, self.coeffs)
+        out[np.arange(self.p - 1) * a % self.p] = self.coeffs  # k -> k*a is one-to-one
         return CycModP(self.p, (out[: self.p - 1] - out[self.p - 1]) % self.p)
 
     def __eq__(self, other: object) -> bool:

@@ -14,8 +14,10 @@ C_d the coset of g**d modulo pth powers, counted once per pair from the
 coset indices of modarith.coset_index; spectra builds trace polynomials
 from the same table.  l - 1 = 2ip makes -1 = g**(ip) a member of C_0, so
 y -> -1 - y maps the pair (y, 1 + y) to the cell (m, d) of its mirror:
-N = N.T (Dickson's (i, j) = (j, i) for even (l-1)/p), and half the pairs
-count the whole table.
+N = N.T (Dickson's (i, j) = (j, i) for even (l-1)/p), and one bincount B
+of the lower half of the pairs gives N = B + B.T plus one self-mirrored
+cell.  The counts of J_i are wrapped anti-diagonal sums of N with its
+rows reordered by d -> i*d, read as column sums of a reshaped [R | R].
 
 Exponent sets never multiply out S_n.  Mod p, Phi_p = (x-1)**(p-1) and J
 has augmentation 1, so log J = sum_{k<=p-2} (-1)**(k+1) (J-1)**k / k is
@@ -106,24 +108,20 @@ def cyclotomic_numbers(index: np.ndarray, p: int) -> np.ndarray:
 
     index is modarith.coset_index(l, g, p), so 2p divides l - 1.  The
     pairs (y, 1 + y) are consecutive entries of it, and since -1 lies in
-    C_0, the pair y' = l - 1 - y has the cell (ind(y + 1), ind(y)): one
-    bincount of d*p + m counts the pairs with y in [1, h-1], h = (l-1)/2,
-    and one add.at adds their mirrors.  That leaves y = h, whose partner
-    h + 1 = -h is its own mirror, so N is symmetric by construction.
+    C_0, the pair y' = l - 1 - y has the cell (ind(y + 1), ind(y)), the
+    transpose.  So one bincount B of d*p + m over the lower pairs, y in
+    [1, h-1] with h = (l-1)/2, gives N = B + B.T plus the cell (ind(h),
+    ind(h)) of y = h, whose partner h + 1 = -h is its own mirror.
     """
     l = len(index)
     if (l - 1) % (2 * p):
         raise ValueError(f"2p with p={p} does not divide len(index) - 1 = {l - 1}")
     h = (l - 1) // 2
-    lo, hi = index[1:h], index[2:h + 1]
-    cells = np.multiply(lo, p, dtype=np.intp)  # bincount copies any other dtype to intp
-    cells += hi
-    N = np.bincount(cells, minlength=p * p)
-    np.multiply(hi, p, out=cells, dtype=np.intp)
-    cells += lo
-    np.add.at(N, cells, 1)
-    N[int(index[h]) * (p + 1)] += 1
-    N = N.reshape(p, p)
+    cells = np.multiply(index[1:h], p, dtype=np.intp)  # bincount copies any other dtype to intp
+    cells += index[2:h + 1]
+    B = np.bincount(cells, minlength=p * p).reshape(p, p)
+    N = B + B.T
+    N[index[h], index[h]] += 1
     N.setflags(write=False)
     return N
 
@@ -152,14 +150,18 @@ def jacobi_counts(ctx: TwistContext, i: int) -> np.ndarray:
     The term y = g**k of J_i with y in C_d and 1 - y in C_m has exponent
     log(1 - y) + i*k = m + i*d (mod p).  log(-1) = (l-1)/2 = ip puts -1 in
     C_0, so y -> -y keeps C_d, and N[d][m] also counts the y in C_d with
-    1 - y in C_m.
+    1 - y in C_m.  With k = i*d and the rows R[k] = N[k/i mod p], t[e] is
+    the wrapped anti-diagonal sum of R[k][(e - k) % p] over k.  One row
+    gather, each row twice, gives [R | R].  Flattened from entry p on and
+    cut into rows of 2p - 1, its row k begins at [R | R][k][p - k], so
+    its first p entries are R[k][(e - k) % p], e = 0..p-1, and t is the
+    sum of those columns.
     """
     p = ctx.p
     if not 1 <= i <= p - 2:
         raise ValueError(f"i={i} out of range [1, {p - 2}]")
-    r = np.arange(p)
-    # row d of the gather holds N[d][(e - i*d) % p] at column e
-    return np.take_along_axis(ctx.cyclotomic, (r - i * r[:, None]) % p, axis=1).sum(axis=0)
+    RR = ctx.cyclotomic[np.repeat(np.arange(p) * pow(i, -1, p) % p, 2)].reshape(p, 2 * p)
+    return RR.reshape(-1)[p:].reshape(p, 2 * p - 1)[:, :p].sum(axis=0)
 
 
 def jacobi_sum(ctx: TwistContext, i: int) -> CycModP:

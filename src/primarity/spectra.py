@@ -35,35 +35,41 @@ from .records import JsonlStore, ordered_map, write_csv
 class RankAccumulator:
     """Incremental Gaussian elimination over F_p, width p-1.
 
-    Each basis row is stored scaled so that its pivot entry is 1.
+    The basis stays in reduced row-echelon form: basis[:, pivots] is the
+    identity, so a vector reduces in one product, v - v[pivots] @ basis,
+    and a new row clears its pivot column from the old rows with one outer
+    product.  That product sums up to rank * (p-1)**2 < p**3, inside int64
+    for p < 2**21, so larger p are refused.
     """
 
     def __init__(self, p: int) -> None:
+        if p >= 2**21:
+            raise ValueError(f"p={p} is not below 2**21, the int64 bound of products")
         self.p = p
-        self.basis: list[np.ndarray] = []
+        self.basis = np.zeros((0, p - 1), dtype=np.int64)
         self.pivots: list[int] = []
         self.history: list[tuple[int, int]] = []
 
     @property
     def rank(self) -> int:
-        return len(self.basis)
+        return len(self.pivots)
 
     def add(self, vec, label: int | None = None) -> bool:
         """Reduce vec against the basis; keep it if independent."""
         p = self.p
         if isinstance(vec, CycModP):
             vec = vec.coeffs
-        v = np.asarray(vec, dtype=np.int64).copy() % p
+        v = np.asarray(vec, dtype=np.int64) % p
         if len(v) != p - 1:
             raise ValueError(f"vector width {len(v)} != {p - 1}")
-        for row, c in zip(self.basis, self.pivots):
-            if v[c]:
-                v = (v - v[c] * row) % p
-        nz = np.nonzero(v)[0]
+        v = (v - v[self.pivots] @ self.basis) % p
+        nz = np.flatnonzero(v)
         fresh = len(nz) > 0
         if fresh:
-            self.basis.append(v * pow(int(v[nz[0]]), -1, p) % p)
-            self.pivots.append(int(nz[0]))
+            c = int(nz[0])
+            v = v * pow(int(v[c]), -1, p) % p
+            self.basis = np.vstack(((self.basis - np.outer(self.basis[:, c], v)) % p, v))
+            self.pivots.append(c)
         if label is not None:
             self.history.append((label, self.rank))
         return fresh
@@ -172,7 +178,7 @@ def _periods(p: int, l: int) -> list[np.ndarray]:
     etas = []
     for b in range(p):
         full = np.zeros(l, dtype=np.int64)
-        np.add.at(full, table.powers[b::p], 1)
+        full[table.powers[b::p]] = 1  # distinct powers of g
         etas.append((full[: l - 1] - full[l - 1]) % p)
     return etas
 

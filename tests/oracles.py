@@ -69,6 +69,23 @@ def cyclotomic_numbers_naive(p: int, l: int, g: int) -> list[list[int]]:
     return N
 
 
+def rank_naive(p: int, rows: list[list[int]]) -> list[int]:
+    """Rank mod p after each prefix of rows, by plain Gaussian elimination."""
+    kept, ranks = [], []  # kept: (pivot, row scaled to 1 at its pivot)
+    for row in rows:
+        v = [x % p for x in row]
+        for c, b in kept:
+            if v[c]:
+                f = v[c]
+                v = [(x - f * y) % p for x, y in zip(v, b)]
+        c = next((k for k, x in enumerate(v) if x), None)
+        if c is not None:
+            inv = pow(v[c], -1, p)
+            kept.append((c, [x * inv % p for x in v]))
+        ranks.append(len(kept))
+    return ranks
+
+
 def norm_naive(p: int, coeffs: list[int]) -> int:
     """Norm from Q(zeta_p) to Q as the product of all p-1 conjugates.
 

@@ -12,6 +12,7 @@ from primarity.jacobi import (
     cyclotomic_numbers,
     exponent_set,
     exponent_set_for,
+    jacobi_counts,
     jacobi_sum,
     pair_key,
     twist_product,
@@ -100,6 +101,22 @@ def test_cyclotomic_kernel_matches_oracles():
             want = jacobi_charsum(p, l, ctx.g, i)
             assert exact_jacobi_sum(ctx, i).coeffs == want, (p, l, g, i)
             assert jacobi_sum(ctx, i) == CycModP(p, [v % p for v in want]), (p, l, g, i)
+
+
+def test_jacobi_counts_every_index_matches_character_sums():
+    # every i in [1, p-2], so every row order k/i of the anti-diagonal
+    # gather: (151, 907) has c = 6 > 2, and p = 257 makes the coset index
+    # uint16.  The oracle folds z**(p-1) away, which leaves the counts up to
+    # a constant; their total, l - 2 terms y != 0, 1, pins it, and the exact
+    # kernel of residue_symbols relies on it.
+    for p, l, c, dtype in ((151, 907, 6, np.uint8), (257, 1543, 3, np.uint16)):
+        ctx = TwistContext.build(p, l)
+        assert ctx.c == c and coset_index(l, ctx.g, p).dtype == dtype
+        for i in range(1, p - 1):
+            t = jacobi_counts(ctx, i)
+            assert t.shape == (p,) and int(t.sum()) == l - 2, (p, l, i)
+            want = jacobi_charsum(p, l, ctx.g, i)
+            assert [int(t[p - 1] - t[e]) for e in range(p - 1)] == want, (p, l, i)
 
 
 def test_cyclotomic_numbers_invariants_at_scan37_high_size():

@@ -3,6 +3,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from primarity.cycring import CycModP
@@ -31,7 +32,7 @@ from _goldens import (
     TRACE5_TAIL,
     TRACE7,
 )
-from oracles import heuristic_probability_exact, residue_degree_naive
+from oracles import heuristic_probability_exact, rank_naive, residue_degree_naive
 
 
 def test_rank_accumulator_basics():
@@ -63,6 +64,42 @@ def test_rank_accumulator_is_span_membership():
             c = rng.randrange(p)
             combo = [(x + c * y) % p for x, y in zip(combo, v)]
         assert not acc.add(combo)
+
+
+@pytest.mark.parametrize("p,dim", [(5, 4), (13, 12), (13, 7), (151, 40), (151, 150)])
+def test_rank_accumulator_matches_naive_elimination(p, dim):
+    # random vectors of a dim-dimensional span, with planted dependent
+    # combinations, scaled copies and zero vectors between them
+    rng = random.Random(p * 1000 + dim)
+    gens = np.array([[rng.randrange(p) for _ in range(p - 1)] for _ in range(dim)])
+    rows = []
+    for _ in range(dim + dim // 4):
+        rows.append((np.array([rng.randrange(p) for _ in range(dim)]) @ gens % p).tolist())
+        pick = [rows[-1]] + rng.sample(rows, min(2, len(rows)))  # the newest row at once
+        cs = [rng.randrange(p) for _ in pick]
+        rows.append([sum(c * u[k] for c, u in zip(cs, pick)) % p for k in range(p - 1)])
+        if rng.random() < 0.2:
+            a = rng.randrange(1, p)
+            rows.append([a * x for x in rng.choice(rows)])
+        if rng.random() < 0.1:
+            rows.append([0] * (p - 1))
+    acc = RankAccumulator(p)
+    fresh = [acc.add(v, label=n) for n, v in enumerate(rows)]
+    ranks = rank_naive(p, rows)
+    assert acc.history == list(enumerate(ranks))
+    assert fresh == [r > q for q, r in zip([0] + ranks, ranks)]
+    assert acc.rank == ranks[-1] == dim
+    assert acc.basis.shape == (acc.rank, p - 1)
+    assert (acc.basis[:, acc.pivots] == np.eye(acc.rank, dtype=np.int64)).all()
+    assert ((0 <= acc.basis) & (acc.basis < p)).all()
+
+
+def test_rank_accumulator_refuses_p_from_2_to_the_21():
+    # one product sums up to rank * (p-1)**2 < p**3, inside int64 below 2**21;
+    # 2097143 is the greatest prime below 2**21 and 2097169 the least above
+    assert RankAccumulator(2097143).rank == 0
+    with pytest.raises(ValueError, match="2\\*\\*21"):
+        RankAccumulator(2097169)
 
 
 def test_derivation_check_on_twist_products():
