@@ -109,17 +109,24 @@ def cyclotomic_numbers(index: np.ndarray, p: int) -> np.ndarray:
     index is modarith.coset_index(l, g, p), so 2p divides l - 1.  The
     pairs (y, 1 + y) are consecutive entries of it, and since -1 lies in
     C_0, the pair y' = l - 1 - y has the cell (ind(y + 1), ind(y)), the
-    transpose.  So one bincount B of d*p + m over the lower pairs, y in
-    [1, h-1] with h = (l-1)/2, gives N = B + B.T plus the cell (ind(h),
-    ind(h)) of y = h, whose partner h + 1 = -h is its own mirror.
+    transpose.  So a count B of d*p + m over the lower pairs, y in [1, h-1]
+    with h = (l-1)/2, gives N = B + B.T plus the cell (ind(h), ind(h)) of
+    y = h, whose partner h + 1 = -h is its own mirror.  B sums a bincount
+    per chunk of max(2**15, 8*p*p) cells, so no temporary grows with l and
+    the p*p counts of each cost at most an eighth of its cells.
     """
     l = len(index)
     if (l - 1) % (2 * p):
         raise ValueError(f"2p with p={p} does not divide len(index) - 1 = {l - 1}")
     h = (l - 1) // 2
-    cells = np.multiply(index[1:h], p, dtype=np.intp)  # bincount copies any other dtype to intp
-    cells += index[2:h + 1]
-    B = np.bincount(cells, minlength=p * p).reshape(p, p)
+    size = max(1 << 15, 8 * p * p)
+    buf = np.empty(min(size, h - 1), dtype=np.intp)  # bincount copies any other dtype to intp
+    for y in range(1, h, size):
+        cells = buf[:min(size, h - y)]
+        np.multiply(index[y:y + len(cells)], p, out=cells, dtype=np.intp)
+        cells += index[y + 1:y + 1 + len(cells)]
+        counts = np.bincount(cells, minlength=p * p).reshape(p, p)
+        B = counts if y == 1 else B + counts
     N = B + B.T
     N[index[h], index[h]] += 1
     N.setflags(write=False)

@@ -7,19 +7,22 @@ a full array amortizes better than any per-query method.  coset_index
 builds exactly that array from the first half of the powers of g, since
 -1 = g**((l-1)/2) lies in C_0 for a split prime l = 1 + 2ip and so
 ind(l - v) = ind(v); the full log table serves the dense reference routes.
-Both come from one meet-in-the-middle powering and refuse moduli above
-LOG_TABLE_CAP to keep the memory footprint bounded.
+Both read one stream of powers in cache-sized chunks and refuse moduli
+above LOG_TABLE_CAP to keep the memory footprint bounded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
 # Largest modulus l for which the dense arrays may be built.  It keeps the
-# int64 block product of two powers below l**2 <= 2**52 < 2**63.
+# int64 product of two powers below l**2 <= 2**52 < 2**63.
 LOG_TABLE_CAP = 1 << 26
+
+_CHUNK = 4096  # entries per chunk of powers: two int64 buffers stay in L2
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -95,34 +98,50 @@ class LogTable:
     dlog: np.ndarray
 
 
-def _power_blocks(l: int, g: int, m: int, count: int) -> np.ndarray:
-    """g**(t*m + j) mod l at [t, j], int64, for every block t that starts below count.
+def _power_chunks(l: int, g: int, count: int, m: int):
+    """Check l and g, then yield (k, x) with x[j] = g**(k + j) mod l, int64, for k < count.
 
-    Meet in the middle: one run of m small powers and one of the block
-    powers g**(t*m), multiplied out in one pass.  The last block may run
-    past exponent count - 1; past l - 2 the powers repeat as g**(k - (l-1)).
+    x is one buffer of a multiple of m near _CHUNK entries, rewritten in
+    place; the last chunk may run past count - 1, and past l - 2 the powers
+    repeat.  The first is met in the middle; each later one is the last
+    times g**n, reduced as x - (x // l) * l, since numpy divides by a scalar
+    without the hardware division per entry that x % l makes.
     """
     if l > LOG_TABLE_CAP:
         raise ValueError(f"modulus {l} exceeds the log-table cap {LOG_TABLE_CAP}")
     if not generator_test(l)(g):
         raise ValueError(f"{g} is not a primitive root mod {l}")
+    n = m * -(-min(_CHUNK, count) // m)
     small, big = [1], [1]
-    for _ in range(m - 1):
+    for _ in range(isqrt(n) - 1):
         small.append(small[-1] * g % l)
-    gm = pow(g, m, l)
-    for _ in range((count - 1) // m):
-        big.append(big[-1] * gm % l)
-    blocks = np.multiply.outer(np.array(big), np.array(small))
-    blocks %= l  # in place: a fresh int64 array as large doubles the page faults
-    return blocks
+    ga = small[-1] * g % l
+    for _ in range((n - 1) // len(small)):
+        big.append(big[-1] * ga % l)
+    x = np.multiply.outer(np.array(big), np.array(small)).reshape(-1)[:n]
+    q = np.empty_like(x)
+    gn = pow(g, n, l)
+
+    def chunks():
+        for k in range(0, count, n):
+            if k:
+                np.multiply(x, gn, out=x)
+            np.floor_divide(x, l, out=q)
+            np.multiply(q, l, out=q)
+            np.subtract(x, q, out=x)
+            yield k, x
+
+    return chunks()
 
 
 def build_log_table(l: int, g: int) -> LogTable:
-    """Dense log table mod l in one O(l) pass of meet-in-the-middle powering."""
-    powers = _power_blocks(l, g, max(1, int(l ** 0.5)), l - 1).reshape(-1)[: l - 1]
+    """Dense log table mod l, filled chunk by chunk from the powers of g."""
+    powers = np.empty(l - 1, dtype=np.int32)
     dlog = np.zeros(l, dtype=np.int32)
-    dlog[powers] = np.arange(l - 1, dtype=np.int32)
-    powers = powers.astype(np.int32)  # scattered through while still intp
+    for k, x in _power_chunks(l, g, l - 1, 1):
+        x = x[: l - 1 - k]
+        dlog[x] = np.arange(k, k + len(x), dtype=np.int32)
+        powers[k:k + len(x)] = x
     powers.setflags(write=False)
     dlog.setflags(write=False)
     return LogTable(powers=powers, dlog=dlog)
@@ -133,21 +152,21 @@ def coset_index(l: int, g: int, p: int) -> np.ndarray:
 
     2p must divide l - 1, as it does for every split prime l = 1 + 2ip.
     The entries take the least unsigned dtype that holds p: uint8 below
-    p = 256, uint16 above.  Only g**k for k < h = (l-1)/2 is formed: with a
-    block length m divisible by p, g**(t*m + j) has index j mod p, so one
-    row pattern is scattered through every block, and a block running past
-    h - 1 rewrites the same values, since g**(k + h) = -g**k and p divides
-    h.  -1 = g**h lies in C_0, so ind(l - v) = ind(v), and one minimum with
-    the mirrored array fills in each entry left at the sentinel p.
+    p = 256, uint16 above.  -1 = g**h with h = (l-1)/2 lies in C_0, so
+    ind(l - v) = ind(v): each chunk of g**k, k < h, folds to min(v, l - v)
+    and, as p divides its length, takes one pattern of k mod p; a chunk
+    running past h - 1 rewrites the same values, as p divides h.  One
+    reversed copy of index[1..h] fills the upper half.
     """
     if p < 1 or (l - 1) % (2 * p):
         raise ValueError(f"2p with p={p} does not divide l - 1 = {l - 1}")
     h = (l - 1) // 2
-    m = p * max(1, round(l ** 0.5 / p))
-    blocks = _power_blocks(l, g, m, h)
-    index = np.full(l, p, dtype=np.min_scalar_type(p))
-    index[blocks] = np.arange(m) % p
-    np.minimum(index[1:], index[:0:-1], out=index[1:])
+    index = np.zeros(l, dtype=np.min_scalar_type(p))
+    for k, x in _power_chunks(l, g, h, p):
+        if not k:
+            pattern = np.arange(p, dtype=index.dtype)[None].repeat(len(x) // p, 0).ravel()
+        index[np.minimum(x, l - x)] = pattern
+    index[h + 1:] = index[h:0:-1]
     index.setflags(write=False)
     return index
 

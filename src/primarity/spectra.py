@@ -36,10 +36,10 @@ class RankAccumulator:
     """Incremental Gaussian elimination over F_p, width p-1.
 
     The basis stays in reduced row-echelon form: basis[:, pivots] is the
-    identity, so a vector reduces in one product, v - v[pivots] @ basis,
-    and a new row clears its pivot column from the old rows with one outer
-    product.  That product sums up to rank * (p-1)**2 < p**3, inside int64
-    for p < 2**21, so larger p are refused.
+    identity, so a vector reduces in one product, v - v[pivots] @ basis, and
+    a new row, zero at the old pivots, clears its pivot column from the old
+    rows in its nonzero columns only.  The reducing product sums up to
+    rank * (p-1)**2 < p**3, inside int64 for p < 2**21; larger p are refused.
     """
 
     def __init__(self, p: int) -> None:
@@ -47,7 +47,7 @@ class RankAccumulator:
             raise ValueError(f"p={p} is not below 2**21, the int64 bound of products")
         self.p = p
         self.basis = np.zeros((0, p - 1), dtype=np.int64)
-        self.pivots: list[int] = []
+        self.pivots = np.zeros(0, dtype=np.intp)
         self.history: list[tuple[int, int]] = []
 
     @property
@@ -68,8 +68,9 @@ class RankAccumulator:
         if fresh:
             c = int(nz[0])
             v = v * pow(int(v[c]), -1, p) % p
-            self.basis = np.vstack(((self.basis - np.outer(self.basis[:, c], v)) % p, v))
-            self.pivots.append(c)
+            self.basis[:, nz] = (self.basis[:, nz] - np.outer(self.basis[:, c], v[nz])) % p
+            self.basis = np.vstack((self.basis, v))
+            self.pivots = np.append(self.pivots, c)
         if label is not None:
             self.history.append((label, self.rank))
         return fresh

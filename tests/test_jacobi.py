@@ -1,6 +1,7 @@
 """Jacobi sums, twist products, components, exponent sets."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,8 +77,8 @@ def test_cyclotomic_kernel_matches_oracles():
     # kernel counts the pairs below h = (l-1)/2, their mirrors and the cell
     # (ind(h), ind(h)), with ind(h) = -ind(2): nonzero at (37, 149), and 0 at
     # the pairs where 2 is a pth power, (3, 31), (5, 151), (11, 331) and
-    # (37, 11471).  (257, 151631) is uint16 with a last block of the coset
-    # index that runs past h - 1 (m = 514, h = 75815).
+    # (37, 11471).  (257, 151631) is uint16 with a last chunk of powers of
+    # the coset index that runs past h - 1 (4112 entries, h = 75815).
     rng = random.Random(31)
     cases = [(3, l, None) for l in split_primes(3, count=3)]
     cases += [(p, next(split_primes(p)), None) for p in (5, 7, 11, 37, 257)]
@@ -101,6 +102,18 @@ def test_cyclotomic_kernel_matches_oracles():
             want = jacobi_charsum(p, l, ctx.g, i)
             assert exact_jacobi_sum(ctx, i).coeffs == want, (p, l, g, i)
             assert jacobi_sum(ctx, i) == CycModP(p, [v % p for v in want]), (p, l, g, i)
+
+
+def test_twist_context_build_allocates_nothing_that_grows_with_l_beyond_the_index():
+    # the uint8 coset index of l = 750287 takes 0.75 MB; one int64 or intp
+    # array of h = (l-1)/2 entries would add 3 MB
+    tracemalloc.start()
+    try:
+        TwistContext.build(37, 750287)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6, peak
 
 
 def test_jacobi_counts_every_index_matches_character_sums():

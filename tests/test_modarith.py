@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from primarity import modarith
 from primarity.modarith import (
     LOG_TABLE_CAP,
     build_log_table,
@@ -183,25 +184,35 @@ def test_log_table_arrays_are_read_only():
     assert t.powers.dtype == np.int32 and t.dlog.dtype == np.int32
 
 
-# (p, l, g); m is the block length p * max(1, round(sqrt(l) / p)), and only
-# the exponents below h = (l-1)/2 are formed.  uint8 at p = 37 with m = p >
-# sqrt(l), with a root other than the least, and with the last block
-# running past h - 1 (p = 3, l = 103, m = 9, h = 51; p = 37, l = 21683,
-# m = 148, h = 10841); uint16 with m = p > sqrt(l) (p = 331, l = 1987) and
-# with the wrap (p = 257, l = 433817, m = 771, h = 216908).  m = p never
-# wraps, as h = ip.
+# (p, l, g).  The powers come in chunks of n = p * ceil(min(_CHUNK, h) / p)
+# entries, and only the exponents below h = (l-1)/2 are formed; n = h at
+# (37, 149), (3, 103) and (331, 1987), which is uint16.  At the default
+# _CHUNK = 4096: h is an exact multiple of n at (37, 65713), where
+# n = 4107 and h = 8n, and the last chunk runs past h - 1 at (5, 30011),
+# (37, 21683) with the least root and another, and (257, 433817), uint16
+# with n = 4112 and h = 216908.  (37, 65713) also has h - 1 > 2**15 pairs,
+# so cyclotomic_numbers counts them in two chunks.  Each pair runs again at
+# _CHUNK = p, 2p and 3p + 1, so n = p, 2p and 4p unless h is smaller, and
+# the log table, whose chunks have min(_CHUNK, l - 1) entries, as well.
 COSET_PAIRS = [(37, 149, 2), (37, 149, 3), (3, 103, 5), (37, 21683, 2), (37, 21683, 32),
-               (331, 1987, 2), (257, 433817, 3)]
+               (331, 1987, 2), (257, 433817, 3), (37, 65713, 10), (5, 30011, 2)]
 
 
 @pytest.mark.parametrize("p, l, g", COSET_PAIRS)
-def test_coset_index_matches_naive_dlog_and_counts_the_cyclotomic_numbers(p, l, g):
-    index = coset_index(l, g, p)
-    assert index.dtype == (np.uint8 if p < 256 else np.uint16)
-    assert len(index) == l
+def test_coset_index_matches_naive_dlog_and_counts_the_cyclotomic_numbers(p, l, g, monkeypatch):
     logs = dlog_map(l, g)
-    assert index[1:].tolist() == [logs[v] % p for v in range(1, l)]
-    assert cyclotomic_numbers(index, p).tolist() == cyclotomic_numbers_naive(p, l, g)
+    dlog = np.array([logs[v] for v in range(1, l)])
+    powers = np.array(sorted(logs, key=logs.get))
+    want_N = cyclotomic_numbers_naive(p, l, g)
+    for chunk in (modarith._CHUNK, p, 2 * p, 3 * p + 1):
+        monkeypatch.setattr(modarith, "_CHUNK", chunk)
+        index = coset_index(l, g, p)
+        assert index.dtype == (np.uint8 if p < 256 else np.uint16)
+        assert len(index) == l
+        assert np.array_equal(index[1:], dlog % p), chunk
+        assert cyclotomic_numbers(index, p).tolist() == want_N, chunk
+        t = build_log_table(l, g)
+        assert np.array_equal(t.dlog[1:], dlog) and np.array_equal(t.powers, powers), chunk
 
 
 def test_coset_index_is_read_only():
