@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .jacobi import ExponentSet, check_exponent
+from .jacobi import check_exponent
 from .modarith import is_prime
 
 
@@ -48,16 +48,12 @@ def b1_omega(p: int, m: int) -> int:
     return _bn_over_n(p)[(m - 1) // 2]
 
 
-def irregularity_report(p: int) -> ExponentSet:
-    """ExponentSet of the even n in [2, p-3] with B_n / n = 0 mod p.
-
-    Its size is the irregularity index of p.  Any odd prime p is accepted;
-    p = 3 has no such n and gets the empty set.
-    """
+def irregularity_report(p: int) -> tuple[int, ...]:
+    """Ascending even n in [2, p-3] with B_n / n = 0 mod p, as many as the
+    irregularity index of p; p = 3 has none and gets the empty tuple."""
     if p < 3 or not is_prime(p):
         raise ValueError(f"p={p} is not an odd prime")
-    hits = tuple(n for n, b in zip(range(2, p - 2, 2), _bn_over_n(p)) if b == 0)
-    return ExponentSet(p, hits)
+    return tuple(n for n, b in zip(range(2, p - 2, 2), _bn_over_n(p)) if b == 0)
 
 
 def b_c_factor(p: int, c: int, n: int) -> int:

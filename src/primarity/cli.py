@@ -48,6 +48,7 @@ from .vandiver import (
     CriterionVerdict,
     ScanCache,
     ScanRecord,
+    _join,
     criterion_a,
     criterion_b,
     density_scan,
@@ -126,7 +127,7 @@ def _emit(args: argparse.Namespace, header: tuple[str, ...], records, text=None,
 
 def _expp_text(rec: ScanRecord) -> str:
     line = f"p={rec.p} el={rec.l} c={rec.c} g={rec.g}"
-    return line + " expp:" + ",".join(str(n) for n in rec.expp) if rec.expp else line
+    return f"{line} expp:{_join(rec.expp)}" if rec.expp else line
 
 
 def cmd_expp(args: argparse.Namespace) -> int:
@@ -169,7 +170,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     cache = _open_cache(args, "scan.jsonl", ScanCache)
     if args.format == "text":
         def on_hit(processed: int, hits: int, l: int, counts: tuple[int, ...]) -> None:
-            print(f"{processed} {hits} {l} [" + ",".join(str(v) for v in counts) + "]")
+            print(f"{processed} {hits} {l} [{_join(counts)}]")
 
         table = density_scan(p, count=args.count, bound=args.l_max, c=args.c,
                              jobs=args.jobs, cache=cache, on_hit=on_hit)

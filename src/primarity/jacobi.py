@@ -31,7 +31,8 @@ inverse of J modulo Phi_p, so theta log J = theta J * sigma_-1(J) and
     m_(p-n)(log J) = m_(p-n-1)(theta J * sigma_-1(J)).
 
 Both sides change by multiples of Phi_p only, which every m_e with
-0 <= e <= p-2 kills, so the product is taken in F_p[x]/Phi_p.
+0 <= e <= p-2 kills, so the product is taken in F_p[x]/Phi_p.  Each J
+must pass derivation_check first, or exponent_set raises ArithmeticError.
 """
 
 from __future__ import annotations
@@ -42,38 +43,6 @@ import numpy as np
 
 from .cycring import CycModP
 from .modarith import coset_index, generator_test, is_prime, primitive_root
-
-
-@dataclass(frozen=True)
-class ExponentSet:
-    """Even exponents n in [2, p-3] singled out for a fixed prime pair."""
-
-    p: int
-    members: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "members", tuple(sorted(self.members)))
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, n: int) -> bool:
-        return n in self.members
-
-    def is_empty(self) -> bool:
-        return not self.members
-
-    def intersection(self, other: "ExponentSet") -> "ExponentSet":
-        if self.p != other.p:
-            raise ValueError(f"mixed primes: {self.p} vs {other.p}")
-        return ExponentSet(self.p, tuple(set(self.members) & set(other.members)))
-
-    def render(self) -> str:
-        """Comma-joined ascending members, empty string for the empty set."""
-        return ",".join(str(n) for n in self.members)
 
 
 def check_pair(p: int, l: int) -> None:
@@ -190,10 +159,23 @@ def check_exponent(p: int, n: int) -> None:
         raise ValueError(f"n={n} must be even and within [2, {p - 3}]")
 
 
-def exponent_set(ctx: TwistContext) -> ExponentSet:
-    """All even n in [2, p-3] with S_n = 1, that is with m_(p-n-1)(theta J / J) = 0."""
+def derivation_check(p: int, J: CycModP) -> bool:
+    """Whether J has the relations of every twisted Jacobi sum, augmentation
+    m_0 = 1 and m_1 = m_2 = m_4 = 0, at each d <= p-2, where m_d is defined
+    mod Phi_p.  The moments are int64 dots of p-1 terms below p**2 each."""
+    k = np.arange(p - 1, dtype=np.int64)
+    k2 = k * k % p
+    cols = {0: np.ones_like(k), 1: k, 2: k2, 4: k2 * k2 % p}
+    return all(int(col @ J.coeffs) % p == int(d == 0) for d, col in cols.items() if d <= p - 2)
+
+
+def exponent_set(ctx: TwistContext) -> tuple[int, ...]:
+    """Ascending even n in [2, p-3] with S_n = 1, that is with m_(p-n-1)(theta J / J) = 0."""
     p = ctx.p
     J = twist_product(ctx)
+    if not derivation_check(p, J):
+        raise ArithmeticError(f"the twist product of (p, l, c, g) = {p, ctx.l, ctx.c, ctx.g} "
+                              "breaks a derivation relation")
     k = np.arange(p - 1, dtype=np.int64)
     w = CycModP(p, k * J.coeffs) * J.galois(p - 1)
     col, hits = np.ones_like(k), []
@@ -201,9 +183,10 @@ def exponent_set(ctx: TwistContext) -> ExponentSet:
         col = col * k * k % p  # k**(p-n-1) mod p; p**3 < 2**63 as CycModP needs p < 2**21
         if int(col @ w.coeffs) % p == 0:
             hits.append(n)
-    return ExponentSet(p, tuple(hits))
+    return tuple(reversed(hits))
 
 
-def exponent_set_for(p: int, l: int, c: int | None = None, g: int | None = None) -> ExponentSet:
+def exponent_set_for(p: int, l: int, c: int | None = None,
+                     g: int | None = None) -> tuple[int, ...]:
     """Convenience wrapper building the context and discarding it."""
     return exponent_set(TwistContext.build(p, l, c=c, g=g))

@@ -1,12 +1,12 @@
 """Linear spans of Jacobi-sum vectors and Gaussian period trace polynomials.
 
 Viewed as vectors over F_p, the twisted Jacobi sums of the split primes of
-p satisfy four universal relations (augmentation 1, and first, second and
-fourth moments zero), so their span cannot exceed p-4; rank_scan watches
-the span actually get there.  The trace side factors p in the degree p
-subfield of Q(zeta_l): R_l is the characteristic polynomial of the
-Gaussian periods over F_p, and the number of distinct R_l as l grows is
-the spectrum the heuristic probability speaks about.
+p satisfy four universal relations (jacobi.derivation_check: augmentation
+1, and first, second and fourth moments zero), so their span cannot exceed
+p-4; rank_scan watches the span actually get there.  The trace side
+factors p in the degree p subfield of Q(zeta_l): R_l is the characteristic
+polynomial of the Gaussian periods over F_p, and the number of distinct
+R_l as l grows is the spectrum the heuristic probability speaks about.
 
 R_l is computed from the cyclotomic numbers N[d][m] = #{y in C_d : 1 + y
 in C_m}, the same table behind every Jacobi sum (jacobi.cyclotomic_numbers):
@@ -40,19 +40,21 @@ class RankAccumulator:
     a new row, zero at the old pivots, clears its pivot column from the old
     rows in its nonzero columns only.  The reducing product sums up to
     rank * (p-1)**2 < p**3, inside int64 for p < 2**21; larger p are refused.
+    The first fresh row allocates room for all p-1 rows, so none is ever
+    copied; basis and pivots are views of the first rank rows.
     """
 
     def __init__(self, p: int) -> None:
         if p >= 2**21:
             raise ValueError(f"p={p} is not below 2**21, the int64 bound of products")
         self.p = p
-        self.basis = np.zeros((0, p - 1), dtype=np.int64)
-        self.pivots = np.zeros(0, dtype=np.intp)
+        self.rank = 0
+        self._rows = np.zeros((0, p - 1), dtype=np.int64)
+        self._pivots = np.zeros(0, dtype=np.intp)
         self.history: list[tuple[int, int]] = []
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
+    basis = property(lambda self: self._rows[: self.rank])
+    pivots = property(lambda self: self._pivots[: self.rank])
 
     def add(self, vec, label: int | None = None) -> bool:
         """Reduce vec against the basis; keep it if independent."""
@@ -62,28 +64,22 @@ class RankAccumulator:
         v = np.asarray(vec, dtype=np.int64) % p
         if len(v) != p - 1:
             raise ValueError(f"vector width {len(v)} != {p - 1}")
-        v = (v - v[self.pivots] @ self.basis) % p
+        basis = self.basis
+        v = (v - v[self.pivots] @ basis) % p
         nz = np.flatnonzero(v)
         fresh = len(nz) > 0
         if fresh:
             c = int(nz[0])
             v = v * pow(int(v[c]), -1, p) % p
-            self.basis[:, nz] = (self.basis[:, nz] - np.outer(self.basis[:, c], v[nz])) % p
-            self.basis = np.vstack((self.basis, v))
-            self.pivots = np.append(self.pivots, c)
+            basis[:, nz] = (basis[:, nz] - np.outer(basis[:, c], v[nz])) % p
+            if not self.rank:
+                self._rows = np.zeros((p - 1, p - 1), dtype=np.int64)
+                self._pivots = np.zeros(p - 1, dtype=np.intp)
+            self._rows[self.rank], self._pivots[self.rank] = v, c
+            self.rank += 1
         if label is not None:
             self.history.append((label, self.rank))
         return fresh
-
-
-def derivation_check(p: int, J: CycModP) -> bool:
-    """Universal relations of a twisted Jacobi sum: augmentation 1 and
-    vanishing first, second and fourth moments of the coefficients."""
-    k = np.arange(p - 1, dtype=object)
-    a = J.coeffs
-    if int(a.sum()) % p != 1:
-        return False
-    return all(int((k**d * a).sum()) % p == 0 for d in (1, 2, 4))
 
 
 def rank_scan(

@@ -24,11 +24,16 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from .bernoulli import irregularity_report
-from .jacobi import ExponentSet, exponent_set_for, pair_key
+from .jacobi import exponent_set_for, pair_key
 from .modarith import split_primes
 from .records import JsonlStore, ordered_map
 
 DEFAULT_MAX_STEPS = 64
+
+
+def _join(values: Iterable[int]) -> str:
+    """Comma-joined values, the empty string for none: every list the rows print."""
+    return ",".join(map(str, values))
 
 
 @dataclass(frozen=True)
@@ -45,11 +50,8 @@ class ScanRecord:
     CSV_HEADER = ("p", "l", "c", "g", "expp", "ms")
     key = property(attrgetter("p", "l", "c", "g"))
 
-    def exponent_set(self) -> ExponentSet:
-        return ExponentSet(self.p, self.expp)
-
     def row(self) -> list:
-        return [self.p, self.l, self.c, self.g, ",".join(str(n) for n in self.expp), self.ms]
+        return [self.p, self.l, self.c, self.g, _join(self.expp), self.ms]
 
     def to_json(self) -> str:
         return json.dumps(asdict(self))
@@ -77,9 +79,9 @@ def _pair_record(args: tuple[int, int, int, int]) -> ScanRecord:
     """Worker body: one exponent set, timed."""
     p, l, c, g = args
     t0 = time.perf_counter()
-    es = exponent_set_for(p, l, c=c, g=g)
+    expp = exponent_set_for(p, l, c=c, g=g)
     ms = int(round((time.perf_counter() - t0) * 1000))
-    return ScanRecord(p=p, l=l, c=c, g=g, expp=es.members, ms=ms)
+    return ScanRecord(p=p, l=l, c=c, g=g, expp=expp, ms=ms)
 
 
 def scan_pairs(
@@ -110,9 +112,9 @@ class CriterionVerdict:
     p: int
     mode: str
     witnesses: tuple[int, ...]
-    intersection: ExponentSet
-    exponents: ExponentSet | None = None
-    irregular: ExponentSet | None = None
+    intersection: tuple[int, ...]
+    exponents: tuple[int, ...] | None = None
+    irregular: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if not self.witnesses:
@@ -120,9 +122,9 @@ class CriterionVerdict:
 
     CSV_HEADER = ("p", "mode", "holds", "steps", "witnesses", "intersection")
 
-    holds = property(lambda self: self.intersection.is_empty())
+    holds = property(lambda self: not self.intersection)
     steps = property(lambda self: len(self.witnesses))
-    regular = property(lambda self: self.irregular is not None and self.irregular.is_empty())
+    regular = property(lambda self: self.irregular == ())
     undetermined = property(lambda self: self.mode == "b" and not self.holds)
 
     def status(self) -> str:
@@ -130,13 +132,13 @@ class CriterionVerdict:
 
     def row(self) -> list:
         return [self.p, self.mode, self.holds, self.steps,
-                ",".join(str(l) for l in self.witnesses), self.intersection.render()]
+                _join(self.witnesses), _join(self.intersection)]
 
     def to_json(self) -> str:
         return json.dumps(
             {"p": self.p, "mode": self.mode, "holds": self.holds,
              "steps": self.steps, "witnesses": list(self.witnesses),
-             "intersection": list(self.intersection.members),
+             "intersection": list(self.intersection),
              "regular": self.regular, "undetermined": self.undetermined}
         )
 
@@ -144,14 +146,11 @@ class CriterionVerdict:
         """One summary line per verdict."""
         parts = [f"p={self.p}", f"mode={self.mode}"]
         if self.mode == "a":
-            parts.append(f"l={self.witnesses[0]}")
-            parts.append(f"expp={{{self.exponents.render()}}}")
-            parts.append(f"e0={{{self.irregular.render()}}}")
+            parts += [f"l={self.witnesses[0]}", f"expp={{{_join(self.exponents)}}}",
+                      f"e0={{{_join(self.irregular)}}}"]
         else:
-            parts.append(f"N={self.steps}")
-            parts.append("witnesses=" + ",".join(str(l) for l in self.witnesses))
-        parts.append(f"inter={{{self.intersection.render()}}}")
-        parts.append(f"status={self.status()}")
+            parts += [f"N={self.steps}", f"witnesses={_join(self.witnesses)}"]
+        parts += [f"inter={{{_join(self.intersection)}}}", f"status={self.status()}"]
         if self.regular:
             parts.append("(regular prime)")
         return " ".join(parts)
@@ -163,10 +162,9 @@ def criterion_a(p: int, l: int | None = None, c: int | None = None,
     if l is None:
         l = next(split_primes(p, count=1))
     (rec,) = scan_pairs(p, [l], c=c, cache=cache)
-    e_l = rec.exponent_set()
     e_0 = irregularity_report(p)
-    return CriterionVerdict(p=p, mode="a", witnesses=(l,), intersection=e_l.intersection(e_0),
-                            exponents=e_l, irregular=e_0)
+    return CriterionVerdict(p=p, mode="a", witnesses=(l,), exponents=rec.expp, irregular=e_0,
+                            intersection=tuple(n for n in rec.expp if n in e_0))
 
 
 def criterion_b(
@@ -187,12 +185,11 @@ def criterion_b(
     if stream is None:
         stream = split_primes(p)
     witnesses: list[int] = []
-    inter: ExponentSet | None = None
+    inter: tuple[int, ...] | None = None
     for rec in scan_pairs(p, islice(stream, max_steps), c=c, jobs=jobs, cache=cache):
         witnesses.append(rec.l)
-        es = rec.exponent_set()
-        inter = es if inter is None else inter.intersection(es)
-        if inter.is_empty():
+        inter = rec.expp if inter is None else tuple(n for n in inter if n in rec.expp)
+        if not inter:
             break
     if inter is None:
         raise ValueError(f"stream supplied no split primes for p={p}")
@@ -237,7 +234,7 @@ class DensityTable:
     hits = property(lambda self: sum(self.counts))
 
     def render_vector(self) -> str:
-        return "[" + ",".join(str(v) for v in self.counts) + "]"
+        return f"[{_join(self.counts)}]"
 
 
 def density_scan(

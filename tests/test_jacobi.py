@@ -1,16 +1,18 @@
 """Jacobi sums, twist products, components, exponent sets."""
 
+import dataclasses
 import random
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from primarity import jacobi
 from primarity.cycring import CycModP
 from primarity.jacobi import (
-    ExponentSet,
     TwistContext,
     cyclotomic_numbers,
+    derivation_check,
     exponent_set,
     exponent_set_for,
     jacobi_counts,
@@ -199,7 +201,7 @@ def test_exponent_set_agrees_with_per_component_checks():
         ctx = TwistContext.build(p, l, c=c, g=g)
         J, one = twist_product(ctx).coeffs.tolist(), [1] + [0] * (p - 2)
         direct = {n for n in range(2, p - 2, 2) if component_naive(p, J, n) == one}
-        assert set(exponent_set(ctx).members) == direct, (p, l, c, g)
+        assert set(exponent_set(ctx)) == direct, (p, l, c, g)
         if p == 37 and l in SCAN37_LOW:
             assert direct == SCAN37_LOW[l], l
 
@@ -236,7 +238,7 @@ def test_exponent_set_choice_independent():
         for _ in range(3):
             c = rng.choice(cs)
             g = rng.choice(gs)
-            assert exponent_set_for(p, l, c=c, g=g).members == base.members, (p, l, c, g)
+            assert exponent_set_for(p, l, c=c, g=g) == base, (p, l, c, g)
 
 
 def _primitive_roots(q):
@@ -259,19 +261,50 @@ def _factors(n):
 
 def test_exponent_set_for_p3_is_always_empty():
     for l in split_primes(3, count=5):
-        assert exponent_set_for(3, l).is_empty()
+        assert not exponent_set_for(3, l)
 
 
-def test_exponent_set_type_behaviour():
-    es = ExponentSet(37, (34, 10))
-    assert es.members == (10, 34)
-    assert list(es) == [10, 34]
-    assert 10 in es and 12 not in es
-    assert len(es) == 2
-    assert not es.is_empty()
-    assert es.render() == "10,34"
-    assert ExponentSet(37, ()).render() == ""
-    inter = es.intersection(ExponentSet(37, (34, 2)))
-    assert inter.members == (34,)
-    with pytest.raises(ValueError, match="mixed primes"):
-        es.intersection(ExponentSet(11, ()))
+def _moments(p, coeffs, ds):
+    return [sum(k**d * a for k, a in enumerate(coeffs)) % p for d in ds]
+
+
+@pytest.mark.parametrize("p,l", [(3, 7), (5, 11), (7, 29), (37, 149), (997, 3989)])
+def test_derivation_check_trips_on_each_relation(p, l):
+    # adding k**(p-1-d) over k < p moves m_d alone among the m_e with e <= p-2,
+    # so each relation the check reads is forced to fail on its own; at p = 3
+    # and 5 only d <= p-2 is read (at p = 5, k**4 = 1 makes m_4 = 1 - a_0)
+    J = twist_product(TwistContext.build(p, l))
+    assert derivation_check(p, J)
+    ds = [d for d in (0, 1, 2, 4) if d <= p - 2]
+    if p == 5:
+        assert _moments(p, J.coeffs.tolist(), [4]) != [0]
+    for d in ds:
+        bad = CycModP(p, np.append(J.coeffs, 0) + [pow(k, p - 1 - d, p) for k in range(p)])
+        shift = [(b - a) % p for a, b in zip(_moments(p, J.coeffs.tolist(), ds),
+                                             _moments(p, bad.coeffs.tolist(), ds))]
+        assert [e for e, v in zip(ds, shift) if v] == [d], (p, d)
+        assert not derivation_check(p, bad), (p, d)
+
+
+@pytest.mark.parametrize("p,l", [(3, 7), (5, 11), (37, 149), (37, 4219), (997, 3989)])
+def test_exponent_set_raises_without_the_self_mirrored_cell(p, l):
+    ctx = TwistContext.build(p, l)
+    index, h = coset_index(l, ctx.g, p), (l - 1) // 2
+    N = ctx.cyclotomic.copy()
+    N[index[h], index[h]] -= 1
+    with pytest.raises(ArithmeticError, match="derivation relation"):
+        exponent_set(dataclasses.replace(ctx, cyclotomic=N))
+
+
+def test_exponent_set_raises_on_one_coefficient_faults(monkeypatch):
+    rng = random.Random(200)
+    product = jacobi.twist_product
+    for _ in range(40):
+        p = rng.choice((5, 7, 11, 37, 157))
+        ctx = TwistContext.build(p, rng.choice(list(split_primes(p, count=4))))
+        fault = np.zeros(p - 1, dtype=np.int64)
+        fault[rng.randrange(p - 1)] = rng.randrange(1, p)
+        monkeypatch.setattr(jacobi, "twist_product",
+                            lambda ctx: CycModP(ctx.p, product(ctx).coeffs + fault))
+        with pytest.raises(ArithmeticError, match="derivation relation"):
+            exponent_set(ctx)

@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 from primarity.cycring import CycModP
-from primarity.jacobi import TwistContext, twist_product
+from primarity.jacobi import TwistContext, derivation_check, twist_product
 from primarity.modarith import split_primes
 from primarity.spectra import (
     RankAccumulator,
     TraceCatalog,
     TracePolynomial,
     conjugate_rank,
-    derivation_check,
     distinct_trace_count,
     heuristic_probability,
     rank_scan,

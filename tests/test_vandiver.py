@@ -6,7 +6,7 @@ import pytest
 
 from primarity import jacobi, vandiver
 from primarity.cli import main
-from primarity.jacobi import ExponentSet, exponent_set_for
+from primarity.jacobi import exponent_set_for
 from primarity.modarith import is_prime, split_primes
 from primarity.vandiver import (
     CriterionVerdict,
@@ -34,15 +34,15 @@ def test_criterion_a_regular_prime():
     v = criterion_a(13)
     assert v.holds and v.regular
     assert v.witnesses == (53,)
-    assert v.intersection.is_empty()
+    assert not v.intersection
     assert v.render() == "p=13 mode=a l=53 expp={} e0={} inter={} status=established (regular prime)"
 
 
 def test_criterion_a_irregular_prime_disjoint():
     v = criterion_a(37, l=149)
     assert v.holds and not v.regular
-    assert v.exponents.is_empty()
-    assert v.irregular.members == (32,)
+    assert not v.exponents
+    assert v.irregular == (32,)
     assert v.render() == "p=37 mode=a l=149 expp={} e0={32} inter={} status=established"
 
 
@@ -98,7 +98,7 @@ def test_criterion_b_undetermined_at_exhaustion():
     assert not v.holds
     assert v.undetermined
     assert v.steps == 1
-    assert v.intersection.members == (94,)
+    assert v.intersection == (94,)
     assert v.status() == "not established"
 
 
@@ -111,7 +111,7 @@ def test_criterion_b_rejects_bad_budget_and_empty_stream():
 
 def test_verdict_invariants():
     with pytest.raises(ValueError, match="without witnesses"):
-        CriterionVerdict(p=11, mode="b", witnesses=(), intersection=ExponentSet(11, ()))
+        CriterionVerdict(p=11, mode="b", witnesses=(), intersection=())
 
 
 def test_verdict_json_shape():
@@ -121,6 +121,22 @@ def test_verdict_json_shape():
         "witnesses": [23, 67], "intersection": [],
         "regular": False, "undetermined": False,
     }
+
+
+def test_verdicts_intersect_ascending_sets_of_several_members(tmp_path):
+    # planted cache records, as no small pair shares two members with another
+    # set: 691 has the irregular exponents 12 and 200
+    cache = ScanCache(tmp_path / "scan.jsonl")
+    for p, l, expp in ((691, 6911, (12, 100, 200)), (37, 149, (2, 10, 34)),
+                       (37, 223, (10, 20, 34))):
+        cache.put(ScanRecord(*jacobi.pair_key(p, l), expp=expp, ms=0))
+    a = criterion_a(691, cache=cache)
+    assert (a.exponents, a.irregular, a.intersection) == ((12, 100, 200), (12, 200), (12, 200))
+    assert a.render() == ("p=691 mode=a l=6911 expp={12,100,200} e0={12,200} inter={12,200} "
+                          "status=not established")
+    b = criterion_b(37, stream=[149, 223], cache=cache)
+    assert b.intersection == (10, 34) and b.undetermined
+    assert b.row()[4:] == ["149,223", "10,34"]
 
 
 @pytest.mark.parametrize("p", [11, 29, 43, 53])
@@ -144,7 +160,7 @@ def test_scan_pairs_matches_direct_computation():
     assert [r.l for r in recs] == [149, 223, 1259]
     assert [r.g for r in recs] == [2, 3, 2]
     for r in recs:
-        assert r.expp == exponent_set_for(37, r.l).members
+        assert r.expp == exponent_set_for(37, r.l)
         assert r.c == 2
         assert r.ms >= 0
 
@@ -179,7 +195,7 @@ def test_scan_cache_put_is_idempotent(tmp_path):
 def test_scan_record_json_round_trip():
     rec = ScanRecord(p=37, l=1481, c=2, g=3, expp=(10, 34), ms=12)
     assert ScanRecord.from_json(rec.to_json()) == rec
-    assert rec.exponent_set().members == (10, 34)
+    assert rec.expp == (10, 34)
 
 
 def test_density_scan_matches_manual_fold():
@@ -235,7 +251,7 @@ def test_irregular_exponent_hits_p37():
     for l, want in sorted(IRREGULAR_HITS37.items()):
         es = exponent_set_for(37, l)
         assert 32 in es
-        assert set(es.members) == want, l
+        assert set(es) == want, l
 
 
 @pytest.mark.long
