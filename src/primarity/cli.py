@@ -18,13 +18,14 @@ every call parses into a fresh namespace.
 
 Exit codes: 0 success (criterion established where one was asked), 2
 invalid input or resource refusal, 3 criterion undetermined at the given
-bounds, 4 I/O failure.  Record streams are printed by _emit, which computes
-the first record before it prints anything, a text title included, so
-input rejected on the first record leaves stdout empty.  Caches are
-JSON-lines files under --cache-dir; loading an existing cache requires
---resume, which replays cached records verbatim and makes reruns
-byte-identical.  trace computes every R_l, a single --l included, by the
-cyclotomic-number route of spectra.
+bounds, 4 I/O failure, 5 internal self-check failed (an ArithmeticError).
+Record streams are printed by _emit, which computes the first record
+before it prints anything, a text title included, so input rejected on
+the first record leaves stdout empty.  Caches are JSON-lines files under
+--cache-dir; loading an existing cache requires --resume, which replays
+cached records verbatim and makes reruns byte-identical.  trace computes
+every R_l, a single --l included, by the cyclotomic-number route of
+spectra.
 """
 
 from __future__ import annotations
@@ -308,6 +309,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

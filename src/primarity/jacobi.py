@@ -9,15 +9,13 @@ into ring arithmetic, and the components
 
 decide p-primarity: n is recorded exactly when S_n = 1.  All of this lives
 in F_p[x]/Phi_p(x) via cycring.  Every J_i, exact ones included, is read
-off one table of cyclotomic numbers N[d][m] = #{y in C_d : 1 + y in C_m},
-C_d the coset of g**d modulo pth powers, counted once per pair from the
-coset indices of modarith.coset_index; spectra builds trace polynomials
-from the same table.  l - 1 = 2ip makes -1 = g**(ip) a member of C_0, so
-y -> -1 - y maps the pair (y, 1 + y) to the cell (m, d) of its mirror:
-N = N.T (Dickson's (i, j) = (j, i) for even (l-1)/p), and one bincount B
-of the lower half of the pairs gives N = B + B.T plus one self-mirrored
-cell.  The counts of J_i are wrapped anti-diagonal sums of N with its
-rows reordered by d -> i*d, read as column sums of a reshaped [R | R].
+off its counts t_i[e] = #{y : chi**i(y) chi(1 - y) = zeta**e}, which sum to
+l - 2.  With M = (l-1)/p, which is even, and h = g**M, the Jacobi-sum
+congruence (Ireland-Rosen, ch. 14) maps zeta -> h**b, b in [1, p-1], to
+sum_e t_i[e] h**(b*e) = -binom(bM, AM) mod l, A = -i*b mod p, which is 0
+when A > b, so one inverse DFT of length p mod l gives every t_i[e] in
+[0, l) exactly from the factorials (kM)! mod l.  The cyclotomic numbers
+N[d][m] = #{y in C_d : 1 + y in C_m} serve spectra's trace route alone.
 
 Exponent sets never multiply out S_n.  Mod p, Phi_p = (x-1)**(p-1) and J
 has augmentation 1, so log J = sum_{k<=p-2} (-1)**(k+1) (J-1)**k / k is
@@ -38,11 +36,14 @@ must pass derivation_check first, or exponent_set raises ArithmeticError.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 
 import numpy as np
 
 from .cycring import CycModP
-from .modarith import coset_index, generator_test, is_prime, primitive_root
+from .modarith import LOG_TABLE_CAP, generator_test, is_prime, primitive_root
+
+_CHUNK = 1 << 13  # int64 entries per chunk of a grid or table that grows with l or p
 
 
 def check_pair(p: int, l: int) -> None:
@@ -69,11 +70,14 @@ def pair_key(p: int, l: int, c: int | None = None,
         raise ValueError(f"c={c} out of range for p={p}")
     if not generator_test(p)(c):
         raise ValueError(f"c={c} is not a primitive root mod {p}")
+    if g is not None and not generator_test(l)(g):
+        raise ValueError(f"{g} is not a primitive root mod {l}")
     return p, l, c, primitive_root(l) if g is None else g
 
 
 def cyclotomic_numbers(index: np.ndarray, p: int) -> np.ndarray:
-    """N[d][m] = #{y in C_d : 1 + y in C_m} mod l = len(index), read-only.
+    """N[d][m] = #{y in C_d : 1 + y in C_m} mod l = len(index), read-only,
+    for the trace route of spectra.
 
     index is modarith.coset_index(l, g, p), so 2p divides l - 1.  The
     pairs (y, 1 + y) are consecutive entries of it, and since -1 lies in
@@ -102,6 +106,84 @@ def cyclotomic_numbers(index: np.ndarray, p: int) -> np.ndarray:
     return N
 
 
+def _powers(x: int, n: int, q: int) -> np.ndarray:
+    """x**k mod q for k in [0, n), int64."""
+    return np.array(list(accumulate(repeat(x, n - 1), lambda a, y: a * y % q, initial=1)),
+                    dtype=np.int64)
+
+
+def _block_products(p: int, l: int) -> list[int]:
+    """(kM + 1)...((k+1)M) mod l for k < (p-1)/2, M = (l-1)/p, from pairs n(n+1), n odd.
+
+    Row k of a grid holds block k; chunks of about _CHUNK entries multiply
+    into a running product per cell, and halving products end each row.
+    Each factor is reduced below l as x - x // l * l, so no product passes
+    l**2 <= 2**52.
+    """
+    M, K = (l - 1) // p, (p - 1) // 2
+    width = min(M // 2, max(1, _CHUNK // K))
+    acc = np.ones((K, width), dtype=np.int64)
+    for j in range(0, M, 2 * width):
+        n = np.arange(1, K * M, M)[:, None] + np.arange(j, min(j + 2 * width, M), 2)
+        n *= n + 1
+        n -= n // l * l
+        cells = acc[:, :n.shape[1]]
+        cells *= n
+        cells -= cells // l * l
+    while acc.shape[1] > 1:
+        half = acc.shape[1] // 2
+        folded = acc[:, :half] * acc[:, half:2 * half]
+        folded -= folded // l * l
+        if acc.shape[1] % 2:
+            folded[:, 0] = folded[:, 0] * acc[:, -1] % l
+        acc = folded
+    return acc[:, 0].tolist()
+
+
+def _factorials(p: int, l: int) -> np.ndarray:
+    """F[k] = (kM)! mod l for k in [0, 2p-2], read-only: the upper half from one
+    inversion by Wilson's theorem, F[k] F[p-k] = -1, and 0 past p, as kM >= l."""
+    if l > LOG_TABLE_CAP:
+        raise ValueError(f"modulus {l} exceeds the log-table cap {LOG_TABLE_CAP}")
+    blocks = _block_products(p, l)
+    F = [1]
+    for b in blocks:
+        F.append(F[-1] * b % l)
+    inv, upper = pow(F[-1], -1, l), []
+    for b in reversed(blocks):  # inv = 1/F[k], k = (p-1)/2 .. 1
+        upper.append(l - inv)
+        inv = inv * b % l
+    F = np.array(F + upper + [l - 1] + [0] * (p - 2), dtype=np.int64)
+    F.setflags(write=False)
+    return F
+
+
+def _counts(p: int, l: int, c: int, g: int, F: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Rows t_i, i in indices, of the counts of J_i from the factorials F, read-only.
+
+    binom(bM, AM) = F[b] F[p-A] F[p-b+A], as 1/F[k] = -F[p-k].  With b = c**u
+    and e = c**v, h**(-b*e) is entry u + v of one doubled row, so the DFT is
+    one product with a windowed view of it, summed in blocks of u that keep
+    int64 sums below 2**63.  t_i[0] is l - 2 less the rest; were it negative,
+    the counts would not sum to l - 2, and ArithmeticError is raised.
+    """
+    b = _powers(c, p - 1, p)
+    twiddle = np.tile(_powers(pow(g, (l - 1) // p, l), p, l)[p - b], 2)
+    window = np.ndarray((p - 1, p - 1), np.int64, twiddle, 0, twiddle.strides * 2)
+    A = indices[:, None] * (p - b) % p
+    B = F[b] * F[p - A] % l * F[A + (p - b)] % l * pow(p, -1, l) % l  # -V_b / p
+    S, step = np.zeros_like(B), (2**63 - 1 - l) // (l - 1) ** 2
+    for u in range(0, p - 1, step):
+        S = (S + B[:, u:u + step] @ window[:, u:u + step].T) % l
+    t = np.empty((len(B), p), dtype=np.int64)
+    t[:, b] = ((l - 2) * pow(p, -1, l) - S) % l
+    t[:, 0] = l - 2 - t[:, 1:].sum(axis=1)
+    if (t[:, 0] < 0).any():
+        raise ArithmeticError(f"the counts of (p, l, c, g) = {p, l, c, g} do not sum to l - 2")
+    t.setflags(write=False)
+    return t
+
+
 @dataclass(frozen=True)
 class TwistContext:
     """Everything fixed while one prime pair (p, l) is analyzed."""
@@ -110,34 +192,25 @@ class TwistContext:
     l: int
     c: int
     g: int
-    cyclotomic: np.ndarray  # cyclotomic_numbers(...) for the root g
+    factorials: np.ndarray  # _factorials(p, l)
+    counts: np.ndarray  # row i-1 holds jacobi_counts(ctx, i), i in [1, c-1]
 
     @classmethod
     def build(cls, p: int, l: int, c: int | None = None, g: int | None = None) -> "TwistContext":
-        """Validate the pair and count its cyclotomic numbers."""
+        """Validate the pair, then find its factorials and the counts of J_1 .. J_(c-1)."""
         p, l, c, g = pair_key(p, l, c, g)
-        return cls(p=p, l=l, c=c, g=g,
-                   cyclotomic=cyclotomic_numbers(coset_index(l, g, p), p))
+        F = _factorials(p, l)
+        return cls(p=p, l=l, c=c, g=g, factorials=F, counts=_counts(p, l, c, g, F, np.arange(1, c)))
 
 
 def jacobi_counts(ctx: TwistContext, i: int) -> np.ndarray:
-    """Exact counts t with J_i = -sum_e t[e] x**e, e in [0, p), read off N.
-
-    The term y = g**k of J_i with y in C_d and 1 - y in C_m has exponent
-    log(1 - y) + i*k = m + i*d (mod p).  log(-1) = (l-1)/2 = ip puts -1 in
-    C_0, so y -> -y keeps C_d, and N[d][m] also counts the y in C_d with
-    1 - y in C_m.  With k = i*d and the rows R[k] = N[k/i mod p], t[e] is
-    the wrapped anti-diagonal sum of R[k][(e - k) % p] over k.  One row
-    gather, each row twice, gives [R | R].  Flattened from entry p on and
-    cut into rows of 2p - 1, its row k begins at [R | R][k][p - k], so
-    its first p entries are R[k][(e - k) % p], e = 0..p-1, and t is the
-    sum of those columns.
-    """
+    """Exact counts t with J_i = -sum_e t[e] x**e, e in [0, p): held for i < c, else one DFT."""
     p = ctx.p
     if not 1 <= i <= p - 2:
         raise ValueError(f"i={i} out of range [1, {p - 2}]")
-    RR = ctx.cyclotomic[np.repeat(np.arange(p) * pow(i, -1, p) % p, 2)].reshape(p, 2 * p)
-    return RR.reshape(-1)[p:].reshape(p, 2 * p - 1)[:, :p].sum(axis=0)
+    if i < ctx.c:
+        return ctx.counts[i - 1]
+    return _counts(p, ctx.l, ctx.c, ctx.g, ctx.factorials, np.array([i]))[0]
 
 
 def jacobi_sum(ctx: TwistContext, i: int) -> CycModP:
@@ -170,20 +243,32 @@ def derivation_check(p: int, J: CycModP) -> bool:
 
 
 def exponent_set(ctx: TwistContext) -> tuple[int, ...]:
-    """Ascending even n in [2, p-3] with S_n = 1, that is with m_(p-n-1)(theta J / J) = 0."""
+    """Ascending even n in [2, p-3] with S_n = 1, that is with m_(p-n-1)(theta J / J) = 0.
+
+    The moments m_e, e = 2, 4, ..., p-3, are one product with k**e mod p,
+    gathered from the powers of c at log_c(k)*e mod p-1 in row blocks; as
+    e is even, k and p - k share a column.  Sums stay below p**3 < 2**63.
+    """
     p = ctx.p
     J = twist_product(ctx)
     if not derivation_check(p, J):
         raise ArithmeticError(f"the twist product of (p, l, c, g) = {p, ctx.l, ctx.c, ctx.g} "
                               "breaks a derivation relation")
     k = np.arange(p - 1, dtype=np.int64)
-    w = CycModP(p, k * J.coeffs) * J.galois(p - 1)
-    col, hits = np.ones_like(k), []
-    for n in range(p - 3, 1, -2):
-        col = col * k * k % p  # k**(p-n-1) mod p; p**3 < 2**63 as CycModP needs p < 2**21
-        if int(col @ w.coeffs) % p == 0:
-            hits.append(n)
-    return tuple(reversed(hits))
+    w = np.append((CycModP(p, k * J.coeffs % p) * J.galois(p - 1)).coeffs, 0)
+    half = (p - 1) // 2
+    w = w[1:half + 1] + w[:half:-1]
+    powers = _powers(ctx.c, p - 1, p)
+    log = np.empty(p, dtype=np.int64)
+    log[powers] = np.arange(p - 1)
+    e = np.arange(2, p - 2, 2, dtype=np.int64)
+    moments = np.empty_like(e)
+    rows = max(1, _CHUNK // half)
+    for r in range(0, len(e), rows):
+        exps = e[r:r + rows, None] * log[1:half + 1]
+        exps -= exps // (p - 1) * (p - 1)
+        moments[r:r + rows] = powers[exps] @ w
+    return tuple((p - 1 - e[moments % p == 0])[::-1].tolist())
 
 
 def exponent_set_for(p: int, l: int, c: int | None = None,

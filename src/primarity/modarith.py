@@ -1,14 +1,12 @@
 """Primality, primitive roots, coset indices, log tables, and split-prime streams.
 
 Everything here works with plain Python ints except the arrays sized by a
-prime l, which are dense numpy arrays: every Jacobi-sum accumulation
-consumes all l-2 coset indices ind(v) = log_g(v) mod p of a prime pair, so
-a full array amortizes better than any per-query method.  coset_index
-builds exactly that array from the first half of the powers of g, since
--1 = g**((l-1)/2) lies in C_0 for a split prime l = 1 + 2ip and so
-ind(l - v) = ind(v); the full log table serves the dense reference routes.
-Both read one stream of powers in cache-sized chunks and refuse moduli
-above LOG_TABLE_CAP to keep the memory footprint bounded.
+prime l, which only spectra's trace route and the dense reference routes
+build: coset_index, the index log_g(v) mod p of every residue, from the
+first half of the powers of g (-1 = g**((l-1)/2) lies in C_0 for a split
+prime l = 1 + 2ip, so ind(l - v) = ind(v)), and the full log table.  Both
+read one stream of powers in cache-sized chunks and refuse moduli above
+LOG_TABLE_CAP, which also bounds the int64 products of jacobi.
 """
 
 from __future__ import annotations
@@ -18,8 +16,8 @@ from math import isqrt
 
 import numpy as np
 
-# Largest modulus l for which the dense arrays may be built.  It keeps the
-# int64 product of two powers below l**2 <= 2**52 < 2**63.
+# Largest modulus l for which the dense arrays and the factorials of jacobi
+# are built.  It keeps the int64 product of two residues below l**2 <= 2**52.
 LOG_TABLE_CAP = 1 << 26
 
 _CHUNK = 4096  # entries per chunk of powers: two int64 buffers stay in L2

@@ -9,11 +9,11 @@ polynomial of the Gaussian periods over F_p, and the number of distinct
 R_l as l grows is the spectrum the heuristic probability speaks about.
 
 R_l is computed from the cyclotomic numbers N[d][m] = #{y in C_d : 1 + y
-in C_m}, the same table behind every Jacobi sum (jacobi.cyclotomic_numbers):
-they drive exact integer power sums of the periods, and Newton's
-identities turn those into coefficients without any degree l-1
-arithmetic.  The dense route, which multiplies out prod(x - eta_b) inside
-F_p[y]/Phi_l(y), is kept as the reference the fast route is tested against.
+in C_m} (jacobi.cyclotomic_numbers), which only this route reads: they
+drive exact integer power sums of the periods, and Newton's identities
+turn those into coefficients without any degree l-1 arithmetic.  The
+dense route, which multiplies out prod(x - eta_b) inside F_p[y]/Phi_l(y),
+is kept as the reference the fast route is tested against.
 """
 
 from __future__ import annotations

@@ -69,6 +69,39 @@ def cyclotomic_numbers_naive(p: int, l: int, g: int) -> list[list[int]]:
     return N
 
 
+def jacobi_counts_from_cyclotomic(N: list[list[int]], p: int, i: int) -> list[int]:
+    """Counts t[e] = #{y : i*log y + log(1 - y) = e (mod p)} from N[d][m].
+
+    -1 lies in C_0 when 2p | l - 1, so N[d][m] also counts the y in C_d
+    with 1 - y in C_m, and each adds to t[(m + i*d) % p]: row d of N,
+    rotated right by i*d, is summed into t.
+    """
+    t = [0] * p
+    for d, row in enumerate(N):
+        s = i * d % p
+        t = [a + b for a, b in zip(t, row[p - s:] + row[:p - s])]
+    return t
+
+
+def jacobi_norm_holds(t: list[int], l: int) -> bool:
+    """Whether J = sum_e t[e] z**e, z of order p = len(t), has |J|**2 = l.
+
+    J * conj(J) = sum_d a_d z**d with a_d = sum_e t[e] t[(e + d) % p], and
+    1 + z + ... + z**(p-1) = 0 is the only relation among the z**d, so the
+    product is l exactly when every a_d with d != 0 is equal and a_0 - a_1
+    = l.  The linear correlations c_k are the digits of one big-integer
+    product of t and of t reversed, and a_d = c_(p-1-d) + c_(2p-1-d).
+    """
+    p = len(t)
+    width = ((max(t) ** 2 * p).bit_length() + 8) // 8  # bytes per digit
+    digits = [b"".join(v.to_bytes(width, "little") for v in seq) for seq in (t, t[::-1])]
+    prod = int.from_bytes(digits[0], "little") * int.from_bytes(digits[1], "little")
+    raw = prod.to_bytes(width * 2 * p, "little")
+    c = [int.from_bytes(raw[k * width:(k + 1) * width], "little") for k in range(2 * p)]
+    a = [c[p - 1]] + [c[p - 1 - d] + c[2 * p - 1 - d] for d in range(1, p)]
+    return len(set(a[1:])) == 1 and a[0] - a[1] == l
+
+
 def rank_naive(p: int, rows: list[list[int]]) -> list[int]:
     """Rank mod p after each prefix of rows, by plain Gaussian elimination."""
     kept, ranks = [], []  # kept: (pivot, row scaled to 1 at its pivot)

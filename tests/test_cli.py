@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from primarity import records
+from primarity import jacobi, records
 from primarity.cli import build_parser, main
 
 
@@ -404,6 +404,15 @@ def test_io_failure_exit_code(capsys):
                      "--cache-dir", "/proc/nope")
     assert rc == 4
     assert err.startswith("error:")
+
+
+def test_self_check_failure_exit_code(capsys, monkeypatch):
+    # an ArithmeticError is a fault of the program, reported as one line
+    monkeypatch.setattr(jacobi, "derivation_check", lambda p, J: False)
+    rc, out, err = run(capsys, "expp", "--p", "37", "--l", "149")
+    assert (rc, out) == (5, "")
+    assert err == ("error: the twist product of (p, l, c, g) = (37, 149, 2, 2) "
+                   "breaks a derivation relation\n")
 
 
 def test_trace_cache_round_trip(tmp_path, capsys):

@@ -24,7 +24,13 @@ from primarity.modarith import coset_index, primitive_root, split_primes
 from primarity.residue_symbols import exact_jacobi_sum, exact_twist_component
 
 from _goldens import SCAN37_LOW
-from oracles import component_naive, cyclotomic_numbers_naive, jacobi_charsum
+from oracles import (
+    component_naive,
+    cyclotomic_numbers_naive,
+    jacobi_charsum,
+    jacobi_counts_from_cyclotomic,
+    jacobi_norm_holds,
+)
 
 
 def test_context_build_validates_inputs():
@@ -41,6 +47,9 @@ def test_context_build_validates_inputs():
     # 3 generates F_7* but 2 has order 3
     with pytest.raises(ValueError, match="not a primitive root"):
         TwistContext.build(7, 29, c=2)
+    # the least split prime of 3 past the cap; n(n+1) < l**2 <= 2**52 needs l <= 2**26
+    with pytest.raises(ValueError, match="modulus 67108879 exceeds the log-table cap"):
+        TwistContext.build(3, 67108879)
 
 
 def test_pair_key_defaults_and_rejections():
@@ -98,8 +107,10 @@ def test_cyclotomic_kernel_matches_oracles():
     for p, l, g in cases:
         ctx = TwistContext.build(p, l, g=g)
         want_N = cyclotomic_numbers_naive(p, l, ctx.g)
-        assert cyclotomic_numbers(coset_index(l, ctx.g, p), p).tolist() == want_N
-        assert ctx.cyclotomic.tolist() == want_N, (p, l, g)
+        N = cyclotomic_numbers(coset_index(l, ctx.g, p), p).tolist()
+        assert N == want_N
+        for i in range(1, ctx.c):
+            assert ctx.counts[i - 1].tolist() == jacobi_counts_from_cyclotomic(N, p, i), (p, l, g)
         for i in rng.sample(range(1, p - 1), min(3, p - 2)):
             want = jacobi_charsum(p, l, ctx.g, i)
             assert exact_jacobi_sum(ctx, i).coeffs == want, (p, l, g, i)
@@ -119,11 +130,11 @@ def test_twist_context_build_allocates_nothing_that_grows_with_l_beyond_the_inde
 
 
 def test_jacobi_counts_every_index_matches_character_sums():
-    # every i in [1, p-2], so every row order k/i of the anti-diagonal
-    # gather: (151, 907) has c = 6 > 2, and p = 257 makes the coset index
-    # uint16.  The oracle folds z**(p-1) away, which leaves the counts up to
-    # a constant; their total, l - 2 terms y != 0, 1, pins it, and the exact
-    # kernel of residue_symbols relies on it.
+    # every i in [1, p-2], the c - 1 of the context and the DFTs of the
+    # others, at pairs with p**2 > l: (151, 907) has c = 6 > 2, and p = 257
+    # makes the coset index uint16.  The oracle folds z**(p-1) away, which
+    # leaves the counts up to a constant; their total, l - 2 terms
+    # y != 0, 1, pins it, and the exact kernel of residue_symbols relies on it.
     for p, l, c, dtype in ((151, 907, 6, np.uint8), (257, 1543, 3, np.uint16)):
         ctx = TwistContext.build(p, l)
         assert ctx.c == c and coset_index(l, ctx.g, p).dtype == dtype
@@ -136,15 +147,59 @@ def test_jacobi_counts_every_index_matches_character_sums():
 
 def test_cyclotomic_numbers_invariants_at_scan37_high_size():
     # oracle-free checks at the first SCAN37_HIGH prime, where a slice of the
-    # coset indices off by one breaks the sums
+    # coset indices off by one breaks the sums; p**2 < l there, and the
+    # counts of every J_i are the anti-diagonal sums of N
     p, l = 37, 742073
-    N = TwistContext.build(p, l).cyclotomic
+    ctx = TwistContext.build(p, l)
+    N = cyclotomic_numbers(coset_index(l, ctx.g, p), p)
+    for i in range(1, p - 1):
+        assert jacobi_counts(ctx, i).tolist() == jacobi_counts_from_cyclotomic(N.tolist(), p, i), i
     M, is0 = (l - 1) // p, np.arange(p) == 0
     assert (N.sum(axis=1) == M - is0).all()  # y = -1 in C_0 has 1 + y = 0
     assert (N.sum(axis=0) == M - is0).all()  # 1 + y = 1 in C_0 needs y = 0
     assert (N == N.T).all()  # by construction: the kernel adds each cell's mirror
     d, m = np.ogrid[:p, :p]
     assert (N[-d % p, (m - d) % p] == N).all()  # y -> 1/y
+
+
+def test_build_and_exponent_set_stay_small_at_large_p():
+    # no p x p table: the DFT reads a window of one row of 2(p-1) twiddles,
+    # and the moments gather k**e in row blocks
+    tracemalloc.start()
+    try:
+        exponent_set(TwistContext.build(1999, 19991))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
+
+
+@pytest.mark.parametrize("p,l", [(37, 149), (37, 742073), (997, 3989)])
+def test_build_raises_on_a_wrong_factorial_block(p, l, monkeypatch):
+    # a wrong block product spoils the factorials on both sides of Wilson's
+    # reflection, so the DFT returns residues, not counts, which sum to
+    # l - 2 with odds of about 1/(p-1)!: negligible at p >= 37
+    blocks = jacobi._block_products
+    K = (p - 1) // 2
+    for k in sorted({0, 1, K // 2, K - 1}):
+        def wrong(p, l, k=k):
+            out = blocks(p, l)
+            out[k] = out[k] * 2 % l
+            return out
+        monkeypatch.setattr(jacobi, "_block_products", wrong)
+        with pytest.raises(ArithmeticError, match="do not sum to l - 2"):
+            TwistContext.build(p, l)
+
+
+def test_jacobi_norm_at_the_int64_edge_of_the_dft():
+    # p * l**2 > 2**63 at (4999, 42981403), so the DFT sums its terms in two
+    # blocks; |J_i|**2 = l for the counts of the context and of other i
+    p, l = 4999, 42981403
+    assert p * l * l > 2**63
+    ctx = TwistContext.build(p, l)
+    for i in (1, 2, 3, 2500, p - 2):
+        t = jacobi_counts(ctx, i).tolist()
+        assert sum(t) == l - 2 and jacobi_norm_holds(t, l), i
 
 
 def test_jacobi_sum_index_range():
@@ -290,10 +345,11 @@ def test_derivation_check_trips_on_each_relation(p, l):
 def test_exponent_set_raises_without_the_self_mirrored_cell(p, l):
     ctx = TwistContext.build(p, l)
     index, h = coset_index(l, ctx.g, p), (l - 1) // 2
-    N = ctx.cyclotomic.copy()
+    N = cyclotomic_numbers(index, p).copy()
     N[index[h], index[h]] -= 1
+    counts = np.array([jacobi_counts_from_cyclotomic(N.tolist(), p, i) for i in range(1, ctx.c)])
     with pytest.raises(ArithmeticError, match="derivation relation"):
-        exponent_set(dataclasses.replace(ctx, cyclotomic=N))
+        exponent_set(dataclasses.replace(ctx, counts=counts))
 
 
 def test_exponent_set_raises_on_one_coefficient_faults(monkeypatch):
