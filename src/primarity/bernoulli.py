@@ -6,6 +6,7 @@ term mod p gives B_n / n for every even n <= p-3 (Buhler, Crandall, Ernvall
 and Metsankyla, Math. Comp. 1993, without the FFT).  By Kummer's congruence
 B_{1, omega^(n-1)} = B_n / n mod p for the Teichmuller character omega; the
 even n in [2, p-3] where it vanishes are the irregular exponents of p.
+Nothing here reads a Jacobi sum; vandiver meets the two sides.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .jacobi import check_exponent
 from .modarith import is_prime
 
 
@@ -54,11 +54,3 @@ def irregularity_report(p: int) -> tuple[int, ...]:
     if p < 3 or not is_prime(p):
         raise ValueError(f"p={p} is not an odd prime")
     return tuple(n for n, b in zip(range(2, p - 2, 2), _bn_over_n(p)) if b == 0)
-
-
-def b_c_factor(p: int, c: int, n: int) -> int:
-    """(c - omega^(p-n)(c)) * B_{1, omega^(n-1)} mod p, with omega(c) = c mod p."""
-    if not 2 <= c <= p - 1:
-        raise ValueError(f"c={c} out of range [2, {p - 1}]")
-    check_exponent(p, n)
-    return (c - pow(c, p - n, p)) * b1_omega(p, n - 1) % p

@@ -23,7 +23,8 @@ replaced by the product of its r conjugates over the next subfield, which
 for p = 37 takes six products.  Valuations are read with a squaring
 ladder q, q**2, q**4, ... rather than one division per factor, and the
 content of an element (its l-content v, or the p-adic valuation s of
-S_n - 1) from one ladder on the gcd of its coefficients.
+S_n - 1) from one ladder on the gcd of its coefficients.  classify runs
+the whole chain on one TwistContext, which symbol_report builds per key.
 """
 
 from __future__ import annotations
@@ -372,17 +373,10 @@ def classify(ctx: TwistContext, n: int) -> SymbolReport:
     return SymbolReport(p=ctx.p, n=n, l=ctx.l, c=ctx.c, g=ctx.g, v=v, s=s, u=u)
 
 
-def classify_for(
-    p: int, l: int, n: int, c: int | None = None, g: int | None = None
-) -> SymbolReport:
-    """Convenience wrapper building the context and discarding it."""
-    return classify(TwistContext.build(p, l, c=c, g=g), n)
-
-
 def symbol_report(key: tuple[int, int, int, int, int]) -> SymbolReport:
     """Worker body: the report a SymbolCache stores under key."""
     p, n, l, c, g = key
-    return classify_for(p, l, n, c=c, g=g)
+    return classify(TwistContext.build(p, l, c=c, g=g), n)
 
 
 class SymbolCache(JsonlStore):

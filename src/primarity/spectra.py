@@ -3,10 +3,10 @@
 Viewed as vectors over F_p, the twisted Jacobi sums of the split primes of
 p satisfy four universal relations (jacobi.derivation_check: augmentation
 1, and first, second and fourth moments zero), so their span cannot exceed
-p-4; rank_scan watches the span actually get there.  The trace side
-factors p in the degree p subfield of Q(zeta_l): R_l is the characteristic
-polynomial of the Gaussian periods over F_p, and the number of distinct
-R_l as l grows is the spectrum the heuristic probability speaks about.
+p-4; rank_scan adds one coefficient vector per split prime until the rank
+is p-4.  The trace side factors p in the degree p subfield of Q(zeta_l): R_l
+is the characteristic polynomial of the Gaussian periods over F_p, and the
+number of distinct R_l as l grows is the spectrum the heuristic speaks about.
 
 R_l is computed from the cyclotomic numbers N[d][m] = #{y in C_d : 1 + y
 in C_m} (jacobi.cyclotomic_numbers), which only this route reads: they
@@ -26,7 +26,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .cycring import CycModP, render_poly
+from .cycring import render_poly
 from .jacobi import TwistContext, check_pair, cyclotomic_numbers, twist_product
 from .modarith import build_log_table, coset_index, primitive_root, split_primes
 from .records import JsonlStore, ordered_map, write_csv
@@ -59,8 +59,6 @@ class RankAccumulator:
     def add(self, vec, label: int | None = None) -> bool:
         """Reduce vec against the basis; keep it if independent."""
         p = self.p
-        if isinstance(vec, CycModP):
-            vec = vec.coeffs
         v = np.asarray(vec, dtype=np.int64) % p
         if len(v) != p - 1:
             raise ValueError(f"vector width {len(v)} != {p - 1}")
@@ -83,36 +81,21 @@ class RankAccumulator:
 
 
 def rank_scan(
-    p: int,
-    stream: Iterable[int] | None = None,
-    target: int | None = None,
-    c: int | None = None,
+    p: int, stream: Iterable[int] | None = None, c: int | None = None
 ) -> tuple[bool, int | None, tuple[tuple[int, int], ...]]:
-    """Feed Jacobi-sum vectors into the accumulator until target rank.
+    """Feed Jacobi-sum vectors into the accumulator until rank p-4.
 
     Returns (reached, l_p, history) where l_p is the split prime whose
-    vector completed the target and history logs (l, rank) pairs.
+    vector completed rank p-4 and history logs (l, rank) pairs.
     """
-    if target is None:
-        target = p - 4
     if stream is None:
         stream = split_primes(p)
     acc = RankAccumulator(p)
     for l in stream:
-        J = twist_product(TwistContext.build(p, l, c=c))
-        acc.add(J, label=l)
-        if acc.rank >= target:
+        acc.add(twist_product(TwistContext.build(p, l, c=c)).coeffs, label=l)
+        if acc.rank >= p - 4:
             return True, l, tuple(acc.history)
     return False, None, tuple(acc.history)
-
-
-def conjugate_rank(p: int, l: int, c: int | None = None) -> int:
-    """Rank of the p-1 Galois conjugates of one twisted Jacobi sum."""
-    J = twist_product(TwistContext.build(p, l, c=c))
-    acc = RankAccumulator(p)
-    for a in range(1, p):
-        acc.add(J.galois(a))
-    return acc.rank
 
 
 def write_rank_csv(p: int, history: Iterable[tuple[int, int]], fh) -> None:

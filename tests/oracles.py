@@ -119,6 +119,21 @@ def rank_naive(p: int, rows: list[list[int]]) -> list[int]:
     return ranks
 
 
+def conjugate_rank_naive(p: int, J: list[int]) -> int:
+    """Rank mod p of the p-1 Galois conjugates of J in F_p[x]/Phi_p.
+
+    sigma_a sends x^k to x^(ka mod p), a = 1 .. p-1, on the coefficients of
+    1, x, ..., x^(p-2); x^(p-1) is folded away before the elimination.
+    """
+    rows = []
+    for a in range(1, p):
+        conj = [0] * p
+        for k, c in enumerate(J):
+            conj[k * a % p] += c
+        rows.append([x - conj[p - 1] for x in conj[: p - 1]])
+    return rank_naive(p, rows)[-1]
+
+
 def norm_naive(p: int, coeffs: list[int]) -> int:
     """Norm from Q(zeta_p) to Q as the product of all p-1 conjugates.
 
@@ -225,6 +240,12 @@ def bn_over_n_mod_p(n: int, p: int) -> int:
     b = bernoulli_frac(n)
     den = b.denominator * n
     return b.numerator * pow(den, -1, p) % p
+
+
+def b_c_factor_naive(p: int, c: int, n: int) -> int:
+    """(c - omega^(p-n)(c)) * B_{1, omega^(n-1)} mod p, with omega(c) = c mod p
+    and B_{1, omega^(n-1)} = B_n / n mod p by Kummer's congruence."""
+    return (c - pow(c, p - n, p)) * bn_over_n_mod_p(n, p) % p
 
 
 def b1_omegas_stepped(p: int, m0: int):

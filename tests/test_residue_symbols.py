@@ -16,7 +16,6 @@ from primarity.residue_symbols import (
     SymbolReport,
     _valuation,
     classify,
-    classify_for,
     exact_jacobi_sum,
     exact_twist_component,
     l_content,
@@ -419,14 +418,15 @@ def test_norm37_reduced_exponent_is_l_independent(l):
 @pytest.mark.extended
 def test_u1_sweep_n22():
     bound = 10000
-    got = {l for l in split_primes(37, bound=bound) if classify_for(37, l, 22).u == 1}
+    ls = split_primes(37, bound=bound)
+    got = {l for l in ls if classify(TwistContext.build(37, l), 22).u == 1}
     assert got == {l for l in U1_N22 if l <= bound}
 
 
 @pytest.mark.extended
 def test_u1_sweep_n32_and_principal_subset():
     bound = 33000
-    reports = {l: classify_for(37, l, 32) for l in split_primes(37, bound=bound)}
+    reports = {l: classify(TwistContext.build(37, l), 32) for l in split_primes(37, bound=bound)}
     assert {l for l, r in reports.items() if r.u == 1} == {l for l in U1_N32 if l <= bound}
     principal = {l for l, r in reports.items() if r.classification == "global"}
     assert principal == {l for l in U1_N32_PRINCIPAL if l <= bound}
@@ -435,7 +435,7 @@ def test_u1_sweep_n32_and_principal_subset():
 @pytest.mark.parametrize("l", [149, 223])
 def test_symbol_rows_for_p37_n32(l):
     v, u, flags = SYMBOL37[l]
-    rep = classify_for(37, l, 32)
+    rep = classify(TwistContext.build(37, l), 32)
     assert (rep.v, rep.u) == (v, u)
     assert rep.s == 0 and not rep.local_at_p
     assert rep.classification == "non_local_at_l"
@@ -468,7 +468,7 @@ def test_symbol_report_classifications():
 
 
 def test_symbol_report_json_round_trip():
-    rep = classify_for(37, 149, 32)
+    rep = classify(TwistContext.build(37, 149), 32)
     back = SymbolReport.from_json(rep.to_json())
     assert back == rep
     assert json.loads(rep.to_json())["s"] == 0
@@ -480,7 +480,7 @@ def test_symbol_report_json_round_trip():
 def test_symbol_cache_round_trip(tmp_path):
     path = tmp_path / "symbols.jsonl"
     cache = SymbolCache(path)
-    rep = classify_for(37, 149, 32)
+    rep = classify(TwistContext.build(37, 149), 32)
     cache.put(rep)
     cache.put(rep)
     assert len(cache) == 1
@@ -493,4 +493,4 @@ def test_symbol_cache_round_trip(tmp_path):
 def test_classify_uses_the_context_generator():
     # the symbol depends on the root order, fixed by g; same g, same symbol
     ctx = TwistContext.build(11, 23)
-    assert classify(ctx, 2) == classify_for(11, 23, 2, c=ctx.c, g=ctx.g)
+    assert classify(ctx, 2) == classify(TwistContext.build(11, 23, c=ctx.c, g=ctx.g), 2)

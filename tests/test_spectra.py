@@ -1,6 +1,7 @@
 """Rank accumulation, universal relations, trace polynomials."""
 
 import json
+import math
 import random
 
 import numpy as np
@@ -13,7 +14,6 @@ from primarity.spectra import (
     RankAccumulator,
     TraceCatalog,
     TracePolynomial,
-    conjugate_rank,
     distinct_trace_count,
     heuristic_probability,
     rank_scan,
@@ -24,14 +24,22 @@ from primarity.spectra import (
 
 from _goldens import (
     CONJUGATE_RANK37,
+    DENSITY37_FINAL,
+    DENSITY157_CHECKPOINTS,
     HEURISTIC_RATIO,
+    IRREGULAR_EXPONENTS,
     RANK_MILESTONES,
     RANK_MILESTONES_LARGE,
     TRACE3_CATALOG,
     TRACE5_TAIL,
     TRACE7,
 )
-from oracles import heuristic_probability_exact, rank_naive, residue_degree_naive
+from oracles import (
+    conjugate_rank_naive,
+    heuristic_probability_exact,
+    rank_naive,
+    residue_degree_naive,
+)
 
 
 def test_rank_accumulator_basics():
@@ -126,16 +134,16 @@ def test_rank_scan_milestones(p):
 
 
 def test_rank_scan_respects_explicit_target_and_stream():
-    reached, l_p, history = rank_scan(11, target=3)
-    assert reached and history[-1][1] == 3
-    reached, l_p, history = rank_scan(11, stream=[23, 67], target=7)
+    # the target is rank p-4 = 7, which two vectors cannot reach
+    reached, l_p, history = rank_scan(11, stream=[23, 67])
     assert not reached and l_p is None
     assert len(history) == 2
 
 
 @pytest.mark.parametrize("l,want", sorted(CONJUGATE_RANK37.items()))
 def test_conjugate_rank_p37(l, want):
-    assert conjugate_rank(37, l) == want
+    J = twist_product(TwistContext.build(37, l)).coeffs
+    assert conjugate_rank_naive(37, J.tolist()) == want
 
 
 @pytest.mark.long
@@ -251,3 +259,21 @@ def test_heuristic_probability_against_exact_oracle():
 def test_heuristic_probability_reference_values(p, want):
     # the sum sits near 1/(2p); the normalized ratio 2p * value drifts up
     assert round(2 * p * heuristic_probability(p), 4) == want
+
+
+@pytest.mark.parametrize("p,row", [(37, DENSITY37_FINAL), (157, DENSITY157_CHECKPOINTS[-1])])
+def test_density_goldens_fit_the_binomial_model(p, row):
+    # the paper's model: each even n in [2, p-3] joins the exponent set of a
+    # split prime with chance 1/p, so over N primes its count is binomial
+    # with mean N/p.  A counterexample to Vandiver's conjecture at an
+    # irregular n would put n in every set, a count of N.  The 4 sigma band
+    # is fixed in advance; the goldens reach |z| = 1.22 at 37 and 3.16 at 157
+    N, hits, _, counts = row
+    assert len(counts) == (p - 3) // 2 and hits == sum(counts)
+    mean, sigma = N / p, math.sqrt(N / p * (1 - 1 / p))
+    for n, count in zip(range(2, p - 2, 2), counts):
+        assert abs(count - mean) <= 4 * sigma, (p, n, count)
+    assert abs(hits - len(counts) * mean) <= 4 * sigma * math.sqrt(len(counts))
+    for n in IRREGULAR_EXPONENTS[p]:
+        count = counts[n // 2 - 1]
+        assert abs(count - mean) <= 4 * sigma < N - count, (p, n, count)
