@@ -43,7 +43,7 @@ import numpy as np
 from .cycring import CycModP
 from .modarith import LOG_TABLE_CAP, generator_test, is_prime, primitive_root
 
-_CHUNK = 1 << 13  # int64 entries per chunk of a grid or table that grows with l or p
+_CHUNK = 1 << 13  # entries per chunk of a grid or table that grows with l or p
 
 
 def check_pair(p: int, l: int) -> None:
@@ -112,32 +112,55 @@ def _powers(x: int, n: int, q: int) -> np.ndarray:
                     dtype=np.int64)
 
 
-def _block_products(p: int, l: int) -> list[int]:
-    """(kM + 1)...((k+1)M) mod l for k < (p-1)/2, M = (l-1)/p, from pairs n(n+1), n odd.
+def _mulmod(x: np.ndarray, y: np.ndarray, l: int) -> None:
+    """x = x*y - rint(x*y/l) l in place, for float64 integers with |x*y| < 2**52
+    and l <= 2**26: every step is exact, and |x| <= l/2 + 1 after."""
+    x *= y
+    q = x * (1 / l)
+    np.rint(q, out=q)
+    q *= l
+    x -= q
 
-    Row k of a grid holds block k; chunks of about _CHUNK entries multiply
-    into a running product per cell, and halving products end each row.
-    Each factor is reduced below l as x - x // l * l, so no product passes
-    l**2 <= 2**52.
+
+def _block_products(p: int, l: int) -> list[int]:
+    """(kM + 1)...((k+1)M) mod l for k < (p-1)/2, M = (l-1)/p, in float64.
+
+    A block splits into groups of S integers n .. n+S-1, the last one short
+    of R = M mod S.  With z = 2n + S - 1, members t and S-1-t multiply to
+    (z**2 - (2t+1)**2)/4, so one reduced z**2 serves the group, and each
+    block takes 4**(-M/2) once.  Row g, column k of a chunk of about _CHUNK
+    entries holds group g of block k; the short row takes only its first
+    R/2 factors, and halving products end the rows.  S = 2 while all pairs
+    fit one chunk, where numpy calls set the cost, and 16 beyond.  As
+    z < l, z**2 < l**2 <= 2**52, and products of reduced factors stay
+    below 2**51.
     """
     M, K = (l - 1) // p, (p - 1) // 2
-    width = min(M // 2, max(1, _CHUNK // K))
-    acc = np.ones((K, width), dtype=np.int64)
-    for j in range(0, M, 2 * width):
-        n = np.arange(1, K * M, M)[:, None] + np.arange(j, min(j + 2 * width, M), 2)
-        n *= n + 1
-        n -= n // l * l
-        cells = acc[:, :n.shape[1]]
-        cells *= n
-        cells -= cells // l * l
-    while acc.shape[1] > 1:
-        half = acc.shape[1] // 2
-        folded = acc[:, :half] * acc[:, half:2 * half]
-        folded -= folded // l * l
-        if acc.shape[1] % 2:
-            folded[:, 0] = folded[:, 0] * acc[:, -1] % l
-        acc = folded
-    return acc[:, 0].tolist()
+    S = 16 if K * M > 2 * _CHUNK else 2
+    G, R = divmod(M, S)
+    rows = G + (R > 0)
+    width = min(rows, max(1, _CHUNK // K))
+    starts = np.arange(2, 2 * K * M, 2 * M, dtype=float)  # 2n, n = kM + 1
+    for g in range(0, rows, width):
+        w = min(width, rows - g)
+        short = R > 0 and g + w == rows
+        z = np.add.outer(np.arange(2 * S * g + S - 1, 2 * S * (g + w), 2 * S, dtype=float), starts)
+        if short:
+            z[-1] -= S - R
+        _mulmod(z, z, l)
+        prod = z - 1
+        for t in range(1, S // 2):
+            part = prod[:w - (short and 2 * t >= R)]
+            _mulmod(part, z[:len(part)] - (2 * t + 1) ** 2, l)
+        if g:
+            _mulmod(acc[:w], prod, l)
+        else:
+            acc = prod
+    while len(acc) > 1:
+        half = (len(acc) + 1) // 2
+        _mulmod(acc[:len(acc) - half], acc[half:], l)
+        acc = acc[:half]
+    return (acc[0].astype(np.int64) * pow(4, -(M // 2), l) % l).tolist()
 
 
 def _factorials(p: int, l: int) -> np.ndarray:

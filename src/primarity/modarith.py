@@ -6,7 +6,7 @@ build: coset_index, the index log_g(v) mod p of every residue, from the
 first half of the powers of g (-1 = g**((l-1)/2) lies in C_0 for a split
 prime l = 1 + 2ip, so ind(l - v) = ind(v)), and the full log table.  Both
 read one stream of powers in cache-sized chunks and refuse moduli above
-LOG_TABLE_CAP, which also bounds the int64 products of jacobi.
+LOG_TABLE_CAP, which also keeps the float64 products of jacobi exact.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from math import isqrt
 import numpy as np
 
 # Largest modulus l for which the dense arrays and the factorials of jacobi
-# are built.  It keeps the int64 product of two residues below l**2 <= 2**52.
+# are built.  l**2 <= 2**52 keeps the float64 products of jacobi exact.
 LOG_TABLE_CAP = 1 << 26
 
 _CHUNK = 4096  # entries per chunk of powers: two int64 buffers stay in L2

@@ -83,6 +83,19 @@ def jacobi_counts_from_cyclotomic(N: list[list[int]], p: int, i: int) -> list[in
     return t
 
 
+def block_products_naive(p: int, l: int, ks: list[int] | None = None) -> list[int]:
+    """(kM + 1)...((k+1)M) mod l, M = (l-1)/p, one integer at a time, for
+    each k in ks, by default every k < (p-1)/2."""
+    M = (l - 1) // p
+    out = []
+    for k in range(p // 2) if ks is None else ks:
+        x = 1
+        for n in range(k * M + 1, (k + 1) * M + 1):
+            x = x * n % l
+        out.append(x)
+    return out
+
+
 def jacobi_norm_holds(t: list[int], l: int) -> bool:
     """Whether J = sum_e t[e] z**e, z of order p = len(t), has |J|**2 = l.
 

@@ -1,6 +1,7 @@
 """Jacobi sums, twist products, components, exponent sets."""
 
 import dataclasses
+import itertools
 import random
 import tracemalloc
 
@@ -20,11 +21,12 @@ from primarity.jacobi import (
     pair_key,
     twist_product,
 )
-from primarity.modarith import coset_index, primitive_root, split_primes
+from primarity.modarith import LOG_TABLE_CAP, coset_index, is_prime, primitive_root, split_primes
 from primarity.residue_symbols import exact_jacobi_sum, exact_twist_component
 
 from _goldens import SCAN37_LOW
 from oracles import (
+    block_products_naive,
     component_naive,
     cyclotomic_numbers_naive,
     jacobi_charsum,
@@ -47,7 +49,7 @@ def test_context_build_validates_inputs():
     # 3 generates F_7* but 2 has order 3
     with pytest.raises(ValueError, match="not a primitive root"):
         TwistContext.build(7, 29, c=2)
-    # the least split prime of 3 past the cap; n(n+1) < l**2 <= 2**52 needs l <= 2**26
+    # the least split prime of 3 past the cap; float64 z**2 < l**2 <= 2**52 needs l <= 2**26
     with pytest.raises(ValueError, match="modulus 67108879 exceeds the log-table cap"):
         TwistContext.build(3, 67108879)
 
@@ -172,6 +174,61 @@ def test_build_and_exponent_set_stay_small_at_large_p():
     finally:
         tracemalloc.stop()
     assert peak < 8e6, peak
+
+
+def test_twist_context_build_stays_small_at_the_log_table_cap():
+    # 67108529 is the largest split prime of 37 below 2**26: the float64
+    # grids of the block products are chunks, not arrays that grow with l
+    tracemalloc.start()
+    try:
+        TwistContext.build(37, 67108529)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6, peak
+
+
+# groups of 2 while K*M <= 2 * _CHUNK, of 16 beyond: 33301 and 33893 are
+# the split primes of 37 on either side; M = 4 at (4999, 19997)
+_BLOCK_PAIRS = [(p, l) for p in (3, 5, 7, 11, 37, 67, 151, 997)
+                for l in itertools.islice(split_primes(p), 30)]
+_BLOCK_PAIRS += [(4999, 19997), (37, 33301), (37, 33893)]
+
+
+@pytest.mark.parametrize("p,l", _BLOCK_PAIRS)
+def test_block_products_match_the_plain_products(p, l):
+    assert jacobi._block_products(p, l) == block_products_naive(p, l)
+
+
+def test_block_products_straddle_the_group_size_crossover():
+    K, M = 18, [(l - 1) // 37 for l in (33301, 33893)]
+    assert K * M[0] <= 2 * jacobi._CHUNK < K * M[1]
+
+
+@pytest.mark.parametrize("p,l", [(37, 67108529), (4999, 67026593)])
+def test_block_products_at_the_float64_edge(p, l):
+    # the largest split primes of 37 and 4999 below 2**26, where z**2 nears
+    # 2**52; the plain products of four blocks each
+    assert is_prime(l) and l % (2 * p) == 1
+    assert not any(is_prime(x) for x in range(l + 2 * p, LOG_TABLE_CAP, 2 * p))
+    K = (p - 1) // 2
+    ks = sorted({0, 1, K // 2, K - 1})
+    blocks = jacobi._block_products(p, l)
+    assert len(blocks) == K
+    assert [blocks[k] for k in ks] == block_products_naive(p, l, ks)
+
+
+def test_mulmod_is_exact_at_the_largest_prime_below_the_cap():
+    l = 67108859
+    assert is_prime(l) and not any(is_prime(x) for x in range(l + 1, LOG_TABLE_CAP))
+    rng = random.Random(25)
+    pairs = [(x, 1) for x in (0, (l - 1) ** 2, -(l - 1) ** 2, 2**52 - 1, 1 - 2**52)]
+    pairs += [(rng.randint(-l // 2 - 1, l // 2 + 1), rng.randint(-l // 2 - 1, l // 2 + 1))
+              for _ in range(10**4)]
+    x, y = (np.array(v, dtype=np.float64) for v in zip(*pairs))
+    jacobi._mulmod(x, y, l)
+    for (a, b), v in zip(pairs, x.tolist()):
+        assert v == int(v) and (a * b - int(v)) % l == 0 and abs(v) <= l / 2 + 1, (a, b)
 
 
 @pytest.mark.parametrize("p,l", [(37, 149), (37, 742073), (997, 3989)])
