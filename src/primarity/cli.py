@@ -17,7 +17,7 @@ The parser itself is built once per process, on the first call of main, and
 every call parses into a fresh namespace.
 
 Exit codes: 0 success (criterion established where one was asked), 2
-invalid input or resource refusal, 3 criterion undetermined at the given
+invalid input or a refused cache, 3 criterion undetermined at the given
 bounds, 4 I/O failure, 5 internal self-check failed (an ArithmeticError).
 Record streams are printed by _emit, which computes the first record
 before it prints anything, a text title included, so input rejected on
@@ -303,7 +303,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.format not in ("text", "json", "csv"):
             raise ValueError(f"unknown format {args.format!r}")
         return args.func(args)
-    except (ValueError, MemoryError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -112,6 +112,13 @@ def _powers(x: int, n: int, q: int) -> np.ndarray:
                     dtype=np.int64)
 
 
+def _hankel(row: np.ndarray) -> np.ndarray:
+    """View H[u, v] = row[(u + v) mod m] of a row of length m, on one doubled
+    copy of it."""
+    twice = np.tile(row, 2)
+    return np.ndarray((len(row), len(row)), twice.dtype, twice, 0, twice.strides * 2)
+
+
 def _mulmod(x: np.ndarray, y: np.ndarray, l: int) -> None:
     """x = x*y - rint(x*y/l) l in place, for float64 integers with |x*y| < 2**52
     and l <= 2**26: every step is exact, and |x| <= l/2 + 1 after."""
@@ -191,8 +198,7 @@ def _counts(p: int, l: int, c: int, g: int, F: np.ndarray, indices: np.ndarray) 
     the counts would not sum to l - 2, and ArithmeticError is raised.
     """
     b = _powers(c, p - 1, p)
-    twiddle = np.tile(_powers(pow(g, (l - 1) // p, l), p, l)[p - b], 2)
-    window = np.ndarray((p - 1, p - 1), np.int64, twiddle, 0, twiddle.strides * 2)
+    window = _hankel(_powers(pow(g, (l - 1) // p, l), p, l)[p - b])
     A = indices[:, None] * (p - b) % p
     B = F[b] * F[p - A] % l * F[A + (p - b)] % l * pow(p, -1, l) % l  # -V_b / p
     S, step = np.zeros_like(B), (2**63 - 1 - l) // (l - 1) ** 2

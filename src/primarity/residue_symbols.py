@@ -1,20 +1,32 @@
-"""Exact twisted components over Z[x]/Phi_p(x) and their residue symbols.
+"""Twisted components S_n as pth powers, and the exact route over Z[x]/Phi_p(x).
 
 The mod-p exponent sets only see whether S_n reduces to 1.  To decide
-whether S_n is a local or global pth power the component is rebuilt with
-exact integer coefficients over the full range a = 1 .. p-1, its l-content
-split off, and the reduced element evaluated at a root of Phi_p mod l.
+whether S_n is a local or global pth power, classify reads three numbers
+off the Jacobi sums and never multiplies S_n out over Z: the l-content v
+of S_n, the residue symbol u of S_n / l**v at a root of Phi_p mod l, and
+the p-adic valuation s of S_n - 1.  l splits into the p-1 primes
+P_k = (l, x - w**k), w = g**M mod l, M = (l-1)/p, and as
+J_i sigma_-1(J_i) = l, each P_k divides J_i at most once (Ireland and
+Rosen, ch. 14; Washington, section 6.2).  So v counts which J_i(w**k)
+vanish mod l, and u multiplies the J_i at the Teichmuller lift of w mod
+l**2, divided by l where they vanish.  s comes from S_n mod p**K, with K
+doubling from 2.
 
-S_n is never multiplied out over Z.  Modulo a prime q = 1 (mod 2p), Phi_p
-splits into p-1 linear factors, one per root w of order p, so S_n(w) is a
-product of p-1 values J(w**a)**(a**(n-1) mod p) in F_q, taken for a chunk
-of word-size primes at once in int64 numpy.  The coefficients come back by
-interpolation at the p-1 roots and one CRT.  How many primes that takes
-follows from an exact height bound: every J_i has absolute value sqrt(l)
-in every complex embedding, so each coefficient of S_n lies below
-2 * l**(e/2), e = (c-1) * sum_a (a**(n-1) mod p).  The same bound sizes the
-coefficients before any work, and components above the fixed budget
-MEMORY_LIMIT (1 GiB of coefficients) are refused.
+The exact route rebuilds a component with integer coefficients over the
+full range a = 1 .. p-1, splits off its l-content and evaluates the
+reduced element at a root of Phi_p mod l.  Nothing in classify calls it:
+it is the independent route the tests check classify against, and the
+benchmark's symbol37 workload builds its norm inputs with it.  Modulo a
+prime q = 1 (mod 2p), Phi_p splits into p-1 linear factors, one per root
+w of order p, so S_n(w) is a product of p-1 values J(w**a)**(a**(n-1) mod
+p) in F_q, taken for a chunk of word-size primes at once in int64 numpy.
+The coefficients come back by interpolation at the p-1 roots and one CRT.
+How many primes that takes follows from an exact height bound: every J_i
+has absolute value sqrt(l) in every complex embedding, so each
+coefficient of S_n lies below 2 * l**(e/2), e = (c-1) * sum_a (a**(n-1)
+mod p).  The same bound sizes the coefficients before any work, and
+components above the fixed budget MEMORY_LIMIT (1 GiB of coefficients)
+are refused.
 
 The norm of the reduced component is a signed power of l.  It is computed
 exactly inside Z[x]/Phi_p, down the tower of subfields of the cyclic
@@ -23,8 +35,7 @@ replaced by the product of its r conjugates over the next subfield, which
 for p = 37 takes six products.  Valuations are read with a squaring
 ladder q, q**2, q**4, ... rather than one division per factor, and the
 content of an element (its l-content v, or the p-adic valuation s of
-S_n - 1) from one ladder on the gcd of its coefficients.  classify runs
-the whole chain on one TwistContext, which symbol_report builds per key.
+S_n - 1) from one ladder on the gcd of its coefficients.
 """
 
 from __future__ import annotations
@@ -37,7 +48,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .jacobi import TwistContext, check_exponent, jacobi_counts, pair_key
+from .jacobi import TwistContext, _hankel, _powers, check_exponent, jacobi_counts, pair_key
 from .modarith import factorize, is_prime, primitive_root
 from .records import JsonlStore
 
@@ -364,13 +375,116 @@ def symbol_key(p: int, n: int, l: int, c: int | None = None,
     return p, n, l, c, g
 
 
+def _root_values(ctx: TwistContext, cu: np.ndarray) -> np.ndarray:
+    """V[i-1, k] = J_i(W**k) mod l**2 for i in [1, c-1] and k in [0, p), read-only.
+
+    W = w**l mod l**2 is the Teichmuller lift of w = g**M mod l, the root of
+    order p that residue_symbol tries first, so V[:, k] is J_i modulo the
+    square of the prime (l, x - w**k).  With cu[u] = c**u mod p, W**(cu[u]
+    * cu[v]) is entry u + v of a doubled row.  Each power of W splits as
+    lo + l*hi with lo, hi < l, and the counts sum to l - 2, so both sums
+    over the counts stay below l**2 < 2**52.
+    """
+    p, l, c = ctx.p, ctx.l, ctx.c
+    ll = l * l
+    lift = pow(pow(ctx.g, (l - 1) // p, l), l, ll)
+    hi, lo = np.divmod(_powers(lift, p, ll)[cu], l)
+    t = np.stack([jacobi_counts(ctx, i) for i in range(1, c)])
+    V = np.full((c - 1, p), 2 - l, dtype=np.int64)  # J_i(1) = -(l - 2)
+    V[:, cu] = -(t[:, :1] + t[:, cu] @ _hankel(lo).T + l * (t[:, cu] @ _hankel(hi).T % l))
+    V %= ll
+    V.setflags(write=False)
+    return V
+
+
+def _component_mod(ctx: TwistContext, e: list[int], q: int) -> np.ndarray:
+    """The coefficients of S_n = prod_a sigma_a(J**e_a) mod q, on 1, x, ..., x**(p-2).
+
+    e[a-1] = a**(n-1) mod p.  The product is taken in (Z/q)[x]/(x**p - 1)
+    and folded onto Phi_p at the end; in int64 while the p terms of a
+    product coefficient stay below 2**63, in Python integers past that.
+    """
+    p = ctx.p
+    dtype = np.int64 if p * q * q < 1 << 63 else object
+
+    def mul(x, y):
+        r = np.convolve(x, y)
+        r[:p - 1] += r[p:]
+        return r[:p] % q
+
+    one = np.zeros(p, dtype=dtype)
+    one[0] = 1
+    J = one
+    for i in range(1, ctx.c):
+        J = mul(J, -jacobi_counts(ctx, i).astype(dtype) % q)
+    by_power = [[] for _ in range(p)]
+    for a, ea in zip(range(1, p), e):
+        by_power[ea].append(a)
+    S, power, sigma = one, one, np.empty(p, dtype=dtype)
+    for group in by_power[1:]:  # the a with e_a = 1, 2, ..., p-1
+        power = mul(power, J)
+        for a in group:
+            sigma[np.arange(p) * a % p] = power
+            S = mul(S, sigma)
+    return (S[:p - 1] - S[p - 1]) % q
+
+
+def _s_valuation(ctx: TwistContext, e: list[int]) -> int:
+    """s = v_p(S_n - 1), least over the coefficients, from S_n mod p**K.
+
+    K = 2, 4, 8, ... until S_n - 1 has a coefficient that p**K does not
+    divide.  Every coefficient of S_n lies below 2*l**(h/2), h = (c-1) *
+    sum_a e_a, as exact_twist_component shows, so once p**K exceeds twice
+    that bound S_n - 1 = 0 exactly, which |S_n| = l**(h/2) > 1 rules out:
+    ArithmeticError.
+    """
+    p, l = ctx.p, ctx.l
+    K = 2
+    while True:
+        S = _component_mod(ctx, e, p**K)
+        S[0] -= 1
+        d = math.gcd(*S.tolist())
+        if d:
+            return _valuation(d, p)
+        if p ** (2 * K) > 16 * l ** ((ctx.c - 1) * sum(e)):
+            raise ArithmeticError(f"p**{K} divides S_n - 1 at (p, l, c, g) = {p, l, ctx.c, ctx.g},"
+                                  " past its height bound")
+        K *= 2
+
+
 def classify(ctx: TwistContext, n: int) -> SymbolReport:
-    """Build the exact component and classify it as a pth power."""
-    S = exact_twist_component(ctx, n)
-    s = min_p_valuation(S.minus_one(), ctx.p)
-    v, reduced = l_content(S, ctx.l)
-    u = residue_symbol(reduced, ctx.l, ctx.g)
-    return SymbolReport(p=ctx.p, n=n, l=ctx.l, c=ctx.c, g=ctx.g, v=v, s=s, u=u)
+    """Classify S_n as a pth power from the Jacobi sums at the primes above l.
+
+    Each prime P_k = (l, x - w**k) above l divides J_i at most once, as
+    J_i sigma_-1(J_i) = l: exactly one of J_i(w**k), J_i(w**-k) vanishes
+    mod l, and neither mod l**2, or ArithmeticError is raised.  So S_n has
+    valuation v_k = sum_a e_a #{i : J_i(w**(a*k)) = 0 mod l} at P_k, with
+    e_a = a**(n-1) mod p, and l-content v = min_k v_k.  The residue symbol
+    is read at the first k with v_k = v, where S_n / l**v is a unit: each
+    factor J_i(W**(a*k)) mod l**2 is divided by l where l divides it, and
+    u = (prod of the factors**e_a)**M mod l.
+    """
+    p, l = ctx.p, ctx.l
+    check_exponent(p, n)
+    e = [pow(a, n - 1, p) for a in range(1, p)]
+    cu = _powers(ctx.c, p - 1, p)
+    V = _root_values(ctx, cu)
+    zero = V % l == 0
+    if (zero[:, 1:] == zero[:, :0:-1]).any() or (V[:, 1:] == 0).any():
+        raise ArithmeticError(f"the Jacobi sums of (p, l, c, g) = {p, l, ctx.c, ctx.g} "
+                              "do not split l into conjugate primes")
+    v_k = np.full(p, -1, dtype=np.int64)
+    # with a = c**x and k = c**u, the J_i(w**(a*k)) sit at x + u
+    v_k[cu] = _hankel(zero.sum(axis=0)[cu]) @ np.array(e)[cu - 1]
+    v = int(v_k[1:].min())
+    k = int(np.argmax(v_k == v))
+    f = V[:, np.arange(1, p) * k % p]
+    acc = 1
+    for factors, ea in zip((np.where(f % l, f, f // l) % l).T.tolist(), e):
+        acc = acc * pow(math.prod(factors), ea, l) % l
+    u = pow(acc, (l - 1) // p, l)
+    s = _s_valuation(ctx, e)
+    return SymbolReport(p=p, n=n, l=l, c=ctx.c, g=ctx.g, v=v, s=s, u=u)
 
 
 def symbol_report(key: tuple[int, int, int, int, int]) -> SymbolReport:

@@ -441,6 +441,14 @@ DENSITY157_CHECKPOINTS = [
       6, 6, 5, 6, 1, 7, 4, 7]),
 ]
 
+# The classification line of each flag in the symbol tables below.
+SYMBOL_LINES = {
+    "local_at_p": "Sn local pth power at P",
+    "local_at_L": "Sn local pth power at L",
+    "non_local_at_L": "Sn NON local pth power at L",
+    "global_pth_power": "Sn GLOBAL pth power",
+}
+
 # Power residue symbol rows for p=37, n=32: l -> (v, u, flags), where flags
 # collects the classification lines that must be emitted.
 SYMBOL37 = {
@@ -449,6 +457,21 @@ SYMBOL37 = {
     6883: (259, 6850, ("non_local_at_L",)),
     7253: (259, 4947, ("non_local_at_L",)),
     32783: (259, 1, ("local_at_p", "local_at_L", "global_pth_power")),
+}
+
+# Every row of `symbol --p 157 --n 60 --l-max 20000` (c=5), recorded with
+# the exact route, in the shape of SYMBOL37.
+SYMBOL157_N60 = {
+    1571: (22169, 80, ("non_local_at_L",)),
+    3769: (22169, 496, ("local_at_p", "non_local_at_L")),
+    4397: (22169, 634, ("non_local_at_L",)),
+    5653: (22169, 2430, ("non_local_at_L",)),
+    7537: (22169, 6808, ("non_local_at_L",)),
+    9421: (22169, 9378, ("non_local_at_L",)),
+    11933: (22169, 7798, ("non_local_at_L",)),
+    14759: (22169, 6805, ("non_local_at_L",)),
+    15073: (22169, 589, ("non_local_at_L",)),
+    19469: (22169, 5999, ("non_local_at_L",)),
 }
 
 # l <= 207497 with symbol u = 1 at (p=37, n=32); the principal subset is

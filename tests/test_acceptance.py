@@ -34,18 +34,12 @@ from _goldens import (
     SCAN37_IRREGULAR_HITS,
     SCAN37_LOW,
     SYMBOL37,
+    SYMBOL_LINES,
     TRACE3_CATALOG,
     TRACE5_CATALOG,
     TRACE7,
 )
 from oracles import bn_over_n_mod_p, component_naive, mul_mod_phi_naive
-
-SYMBOL_LINES = {
-    "local_at_p": "Sn local pth power at P",
-    "local_at_L": "Sn local pth power at L",
-    "non_local_at_L": "Sn NON local pth power at L",
-    "global_pth_power": "Sn GLOBAL pth power",
-}
 
 
 def test_criterion_01_first_split_prime_table():

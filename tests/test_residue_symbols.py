@@ -1,12 +1,16 @@
-"""Exact components, l-content, residue symbols, norms."""
+"""classify against the exact route; exact components, l-content, residue symbols, norms."""
 
+import dataclasses
+import functools
 import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from primarity import residue_symbols
+from primarity.cli import main
 from primarity.cycring import CycModP
 from primarity.jacobi import TwistContext, twist_product
 from primarity.modarith import split_primes
@@ -31,6 +35,8 @@ from _goldens import (
     ALPHA11_NORM_EXPONENT,
     NORM37_REDUCED_EXPONENT,
     SYMBOL37,
+    SYMBOL157_N60,
+    SYMBOL_LINES,
     U1_N22,
     U1_N32,
     U1_N32_PRINCIPAL,
@@ -494,3 +500,116 @@ def test_classify_uses_the_context_generator():
     # the symbol depends on the root order, fixed by g; same g, same symbol
     ctx = TwistContext.build(11, 23)
     assert classify(ctx, 2) == classify(TwistContext.build(11, 23, c=ctx.c, g=ctx.g), 2)
+
+
+# (p, l, n, c) fixed before the run, c None for the least primitive root:
+# p = 5, 7, 11, 13 at their first 4 split primes with every even n, and
+# (5, 281), (5, 691) where s = 2; p = 37 at the SYMBOL37 primes, 2221 and
+# 22571 with n = 22 and 32; p = 41 (c = 6) and 43 (c = 3) at their first
+# 3 split primes with n = 2, 12, 22, 32
+PINNED = (
+    [(p, l, n, None) for p in (5, 7, 11, 13) for l in split_primes(p, count=4)
+     for n in range(2, p - 2, 2)]
+    + [(5, 281, 2, None), (5, 691, 2, None)]
+    + [(37, l, n, None) for l in (*sorted(SYMBOL37), 2221, 22571) for n in (22, 32)]
+    + [(p, l, n, c) for p, c in ((41, 6), (43, 3)) for l in split_primes(p, count=3)
+       for n in (2, 12, 22, 32)]
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_route(p, l, n, c):
+    """(v, s, u) from the exact component, its l-content and residue symbol."""
+    ctx = TwistContext.build(p, l, c=c)
+    S = exact_twist_component(ctx, n)
+    v, reduced = l_content(S, l)
+    return v, min_p_valuation(S.minus_one(), p), residue_symbol(reduced, l, ctx.g)
+
+
+def _vsu(p, l, n, c):
+    rep = classify(TwistContext.build(p, l, c=c), n)
+    return rep.v, rep.s, rep.u
+
+
+@pytest.mark.parametrize("p,l,n,c", PINNED)
+def test_classify_matches_the_exact_route(p, l, n, c, monkeypatch):
+    want = _exact_route(p, l, n, c)
+
+    def exact_route(*args):
+        raise AssertionError("classify ran the exact route")
+
+    for name in ("exact_twist_component", "l_content", "min_p_valuation", "residue_symbol"):
+        monkeypatch.setattr(residue_symbols, name, exact_route)
+    assert _vsu(p, l, n, c) == want
+
+
+def test_the_pinned_pairs_reach_every_branch():
+    reports = [classify(TwistContext.build(p, l, c=c), n) for p, l, n, c in PINNED]
+    assert {r.v % r.p == 0 for r in reports} == {True, False}
+    assert {min(r.s, 2) for r in reports} == {0, 1, 2}  # s = 2 needs K = 4
+    assert any(r.u == 1 and r.v % r.p == 0 for r in reports)
+    assert any(r.u == 1 and r.v % r.p for r in reports)  # (37, 2221) at n = 22
+    assert any(r.c > 2 for r in reports)
+
+
+def test_the_pin_catches_a_unit_read_mod_l_alone(monkeypatch):
+    # the mutant keeps J_i(W**k) mod l alone, so a factor that l divides has
+    # no unit part left; it counts as 1 in place of J_i(W**k) / l mod l
+    values = residue_symbols._root_values
+    monkeypatch.setattr(residue_symbols, "_root_values",
+                        lambda ctx, cu: np.where(values(ctx, cu) % ctx.l, values(ctx, cu), ctx.l))
+    wrong = [case for case in PINNED if _vsu(*case) != _exact_route(*case)]
+    assert len(wrong) > len(PINNED) // 2
+    assert all(_vsu(*case)[:2] == _exact_route(*case)[:2] for case in wrong)
+
+
+@pytest.mark.parametrize("p,l,n,c", [(5, 281, 2, None), (11, 23, 2, None), (41, 83, 12, 6)])
+def test_component_mod_matches_the_exact_component(p, l, n, c):
+    ctx = TwistContext.build(p, l, c=c)
+    S = exact_twist_component(ctx, n).coeffs
+    e = [pow(a, n - 1, p) for a in range(1, p)]
+    for q in (p**2, p**3, p**40):
+        got = residue_symbols._component_mod(ctx, e, q)
+        assert got.dtype == (object if p * q * q >= 1 << 63 else np.int64)
+        assert got.tolist() == [x % q for x in S], q
+
+
+def test_s_raises_once_p_to_the_k_passes_the_height_bound(monkeypatch):
+    # S_n = 1 would leave every p**K dividing S_n - 1; at (11, 23, n = 2) the
+    # height is 55, and 11**K > 4 * 23**(55/2) from K = 37 on
+    calls = []
+
+    def one(ctx, e, q):
+        calls.append(q)
+        return np.array([1] + [0] * (ctx.p - 2), dtype=object)
+
+    monkeypatch.setattr(residue_symbols, "_component_mod", one)
+    with pytest.raises(ArithmeticError, match=r"p\*\*64 divides S_n - 1 .* past its height bound"):
+        classify(TwistContext.build(11, 23), 2)
+    assert calls == [11**K for K in (2, 4, 8, 16, 32, 64)]
+
+
+def test_a_shifted_count_fails_the_self_check(monkeypatch, capsys):
+    # one count of J_1 moves from x to x**2; the counts still sum to l - 2
+    ctx = TwistContext.build(37, 149)
+    t = ctx.counts.copy()
+    t[0, 1] -= 1
+    t[0, 2] += 1
+    t.setflags(write=False)
+    shifted = dataclasses.replace(ctx, counts=t)
+    with pytest.raises(ArithmeticError, match="do not split l into conjugate primes"):
+        classify(shifted, 32)
+    monkeypatch.setattr(TwistContext, "build", lambda *args, **kwargs: shifted)
+    rc = main(["symbol", "--p", "37", "--n", "32", "--l", "149"])
+    out = capsys.readouterr()
+    assert rc == 5 and out.out == ""
+    assert "do not split l into conjugate primes" in out.err
+
+
+def test_symbol157_n60_sweep(capsys):
+    rc = main(["symbol", "--p", "157", "--n", "60", "--l-max", "20000"])
+    want = ["p=157 n=60"]
+    for l, (v, u, flags) in sorted(SYMBOL157_N60.items()):
+        want += [f"p=157 el={l} v={v} u={u}", *(SYMBOL_LINES[f] for f in flags)]
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines() == want
