@@ -9,8 +9,12 @@ P_k = (l, x - w**k), w = g**M mod l, M = (l-1)/p, and as
 J_i sigma_-1(J_i) = l, each P_k divides J_i at most once (Ireland and
 Rosen, ch. 14; Washington, section 6.2).  So v counts which J_i(w**k)
 vanish mod l, and u multiplies the J_i at the Teichmuller lift of w mod
-l**2, divided by l where they vanish.  s comes from S_n mod p**K, with K
-doubling from 2.
+l**2, divided by l where they vanish.  s >= 1 exactly when S_n = 1 mod
+p: the full range a = 1 .. p-1 makes S_n the square of the half-range
+component of jacobi, which has augmentation 1, and in the local ring
+F_p[x]/Phi_p = F_p[x]/(x-1)**(p-1) such a square is 1 only for 1 itself.
+So s = 0 is read off the mod-p exponent set, and only for n in the set
+does s come from S_n mod p**K, with K doubling from 2.
 
 The exact route rebuilds a component with integer coefficients over the
 full range a = 1 .. p-1, splits off its l-content and evaluates the
@@ -48,7 +52,8 @@ from operator import attrgetter
 
 import numpy as np
 
-from .jacobi import TwistContext, _hankel, _powers, check_exponent, jacobi_counts, pair_key
+from .jacobi import (TwistContext, _hankel, _powers, check_exponent, exponent_set, jacobi_counts,
+                     pair_key)
 from .modarith import factorize, is_prime, primitive_root
 from .records import JsonlStore
 
@@ -432,6 +437,7 @@ def _component_mod(ctx: TwistContext, e: list[int], q: int) -> np.ndarray:
 def _s_valuation(ctx: TwistContext, e: list[int]) -> int:
     """s = v_p(S_n - 1), least over the coefficients, from S_n mod p**K.
 
+    classify calls it only for n in the exponent set, where s >= 1.
     K = 2, 4, 8, ... until S_n - 1 has a coefficient that p**K does not
     divide.  Every coefficient of S_n lies below 2*l**(h/2), h = (c-1) *
     sum_a e_a, as exact_twist_component shows, so once p**K exceeds twice
@@ -462,7 +468,9 @@ def classify(ctx: TwistContext, n: int) -> SymbolReport:
     e_a = a**(n-1) mod p, and l-content v = min_k v_k.  The residue symbol
     is read at the first k with v_k = v, where S_n / l**v is a unit: each
     factor J_i(W**(a*k)) mod l**2 is divided by l where l divides it, and
-    u = (prod of the factors**e_a)**M mod l.
+    u = (prod of the factors**e_a)**M mod l.  s = 0 unless n is in
+    exponent_set(ctx); for n in the set s comes from _s_valuation, which
+    must find s >= 1, or ArithmeticError is raised.
     """
     p, l = ctx.p, ctx.l
     check_exponent(p, n)
@@ -483,7 +491,12 @@ def classify(ctx: TwistContext, n: int) -> SymbolReport:
     for factors, ea in zip((np.where(f % l, f, f // l) % l).T.tolist(), e):
         acc = acc * pow(math.prod(factors), ea, l) % l
     u = pow(acc, (l - 1) // p, l)
-    s = _s_valuation(ctx, e)
+    s = 0
+    if n in exponent_set(ctx):
+        s = _s_valuation(ctx, e)
+        if s == 0:
+            raise ArithmeticError(f"S_n mod p at (p, l, c, g) = {p, l, ctx.c, ctx.g} "
+                                  f"contradicts the exponent set, which holds n={n}")
     return SymbolReport(p=p, n=n, l=l, c=ctx.c, g=ctx.g, v=v, s=s, u=u)
 
 

@@ -474,6 +474,14 @@ SYMBOL157_N60 = {
     19469: (22169, 5999, ("non_local_at_L",)),
 }
 
+# `symbol --p P --n N --l L` rows at large p, recorded while s still came
+# from S_n mod p**K for every n: (p, l, n) -> (v, u, flags), with s = 0.
+SYMBOL_LARGE_P = {
+    (997, 3989, 2): (923079, 1797, ("non_local_at_L",)),
+    (1999, 19991, 2): (1109889, 12802, ("non_local_at_L",)),
+    (4999, 19997, 2): (6941389, 8631, ("non_local_at_L",)),
+}
+
 # l <= 207497 with symbol u = 1 at (p=37, n=32); the principal subset is
 # where the component is a global 37th power.
 U1_N32 = frozenset({

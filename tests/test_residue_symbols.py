@@ -12,7 +12,7 @@ import pytest
 from primarity import residue_symbols
 from primarity.cli import main
 from primarity.cycring import CycModP
-from primarity.jacobi import TwistContext, twist_product
+from primarity.jacobi import TwistContext, exponent_set, twist_product
 from primarity.modarith import split_primes
 from primarity.residue_symbols import (
     CycBigInt,
@@ -36,6 +36,7 @@ from _goldens import (
     NORM37_REDUCED_EXPONENT,
     SYMBOL37,
     SYMBOL157_N60,
+    SYMBOL_LARGE_P,
     SYMBOL_LINES,
     U1_N22,
     U1_N32,
@@ -543,6 +544,34 @@ def test_classify_matches_the_exact_route(p, l, n, c, monkeypatch):
     assert _vsu(p, l, n, c) == want
 
 
+@pytest.mark.parametrize("p,l,n,c", PINNED)
+def test_classify_builds_s_n_mod_p_k_only_for_n_in_the_exponent_set(p, l, n, c, monkeypatch):
+    s = _exact_route(p, l, n, c)[1]
+    calls = []
+    component_mod = residue_symbols._component_mod
+
+    def recorded(ctx, e, q):
+        calls.append(q)
+        if s == 0:
+            raise AssertionError("classify built S_n mod p**K where s = 0")
+        return component_mod(ctx, e, q)
+
+    monkeypatch.setattr(residue_symbols, "_component_mod", recorded)
+    assert classify(TwistContext.build(p, l, c=c), n).s == s
+    assert calls[:1] == ([] if s == 0 else [p**2])
+
+
+def test_s_is_positive_exactly_for_n_in_the_exponent_set():
+    # s >= 1 means S_n = 1 mod p, and S_n mod p is the square of the
+    # half-range component, which is 1 exactly for n in the set
+    sets = {}
+    for p, l, n, c in PINNED:
+        if (p, l, c) not in sets:
+            sets[p, l, c] = exponent_set(TwistContext.build(p, l, c=c))
+        assert (_exact_route(p, l, n, c)[1] != 0) == (n in sets[p, l, c]), (p, l, n, c)
+    assert 0 < sum(map(len, sets.values())) < len(PINNED)
+
+
 def test_the_pinned_pairs_reach_every_branch():
     reports = [classify(TwistContext.build(p, l, c=c), n) for p, l, n, c in PINNED]
     assert {r.v % r.p == 0 for r in reports} == {True, False}
@@ -584,6 +613,7 @@ def test_s_raises_once_p_to_the_k_passes_the_height_bound(monkeypatch):
         return np.array([1] + [0] * (ctx.p - 2), dtype=object)
 
     monkeypatch.setattr(residue_symbols, "_component_mod", one)
+    assert 2 in exponent_set(TwistContext.build(11, 23))  # else s = 0 with no product
     with pytest.raises(ArithmeticError, match=r"p\*\*64 divides S_n - 1 .* past its height bound"):
         classify(TwistContext.build(11, 23), 2)
     assert calls == [11**K for K in (2, 4, 8, 16, 32, 64)]
@@ -604,6 +634,35 @@ def test_a_shifted_count_fails_the_self_check(monkeypatch, capsys):
     out = capsys.readouterr()
     assert rc == 5 and out.out == ""
     assert "do not split l into conjugate primes" in out.err
+
+
+def test_s_of_0_for_n_in_the_exponent_set_fails_the_self_check(monkeypatch, capsys):
+    # at (37, 32783) the set holds 32, and s = 1
+    ctx = TwistContext.build(37, 32783)
+    assert 32 in exponent_set(ctx)
+    monkeypatch.setattr(residue_symbols, "_s_valuation", lambda ctx, e: 0)
+    with pytest.raises(ArithmeticError, match=r"^S_n mod p at \(p, l, c, g\) = \(37, 32783, 2, 7\) "
+                                              r"contradicts the exponent set, which holds n=32$"):
+        classify(ctx, 32)
+    rc = main(["symbol", "--p", "37", "--n", "32", "--l", "32783"])
+    out = capsys.readouterr()
+    assert rc == 5 and out.out == ""
+    assert "contradicts the exponent set" in out.err
+
+
+def test_symbol_large_p_rows_skip_s_n_mod_p_k(monkeypatch, capsys):
+    def no_product(*args):
+        raise AssertionError("classify built S_n mod p**K")
+
+    monkeypatch.setattr(residue_symbols, "_component_mod", no_product)
+    for (p, l, n), (v, u, flags) in SYMBOL_LARGE_P.items():
+        args = ["symbol", "--p", str(p), "--n", str(n), "--l", str(l)]
+        assert main(args) == 0
+        want = [f"p={p} n={n}", f"p={p} el={l} v={v} u={u}", *(SYMBOL_LINES[f] for f in flags)]
+        assert capsys.readouterr().out.splitlines() == want
+        assert main(args + ["--format", "json"]) == 0
+        got = json.loads(capsys.readouterr().out)
+        assert (got["v"], got["s"], got["u"]) == (v, 0, u)
 
 
 def test_symbol157_n60_sweep(capsys):
