@@ -14,8 +14,7 @@ l - 2.  With M = (l-1)/p, which is even, and h = g**M, the Jacobi-sum
 congruence (Ireland-Rosen, ch. 14) maps zeta -> h**b, b in [1, p-1], to
 sum_e t_i[e] h**(b*e) = -binom(bM, AM) mod l, A = -i*b mod p, which is 0
 when A > b, so one inverse DFT of length p mod l gives every t_i[e] in
-[0, l) exactly from the factorials (kM)! mod l.  The cyclotomic numbers
-N[d][m] = #{y in C_d : 1 + y in C_m} serve spectra's trace route alone.
+[0, l) exactly from the factorials (kM)! mod l.
 
 Exponent sets never multiply out S_n.  Mod p, Phi_p = (x-1)**(p-1) and J
 has augmentation 1, so log J = sum_{k<=p-2} (-1)**(k+1) (J-1)**k / k is
@@ -73,37 +72,6 @@ def pair_key(p: int, l: int, c: int | None = None,
     if g is not None and not generator_test(l)(g):
         raise ValueError(f"{g} is not a primitive root mod {l}")
     return p, l, c, primitive_root(l) if g is None else g
-
-
-def cyclotomic_numbers(index: np.ndarray, p: int) -> np.ndarray:
-    """N[d][m] = #{y in C_d : 1 + y in C_m} mod l = len(index), read-only,
-    for the trace route of spectra.
-
-    index is modarith.coset_index(l, g, p), so 2p divides l - 1.  The
-    pairs (y, 1 + y) are consecutive entries of it, and since -1 lies in
-    C_0, the pair y' = l - 1 - y has the cell (ind(y + 1), ind(y)), the
-    transpose.  So a count B of d*p + m over the lower pairs, y in [1, h-1]
-    with h = (l-1)/2, gives N = B + B.T plus the cell (ind(h), ind(h)) of
-    y = h, whose partner h + 1 = -h is its own mirror.  B sums a bincount
-    per chunk of max(2**15, 8*p*p) cells, so no temporary grows with l and
-    the p*p counts of each cost at most an eighth of its cells.
-    """
-    l = len(index)
-    if (l - 1) % (2 * p):
-        raise ValueError(f"2p with p={p} does not divide len(index) - 1 = {l - 1}")
-    h = (l - 1) // 2
-    size = max(1 << 15, 8 * p * p)
-    buf = np.empty(min(size, h - 1), dtype=np.intp)  # bincount copies any other dtype to intp
-    for y in range(1, h, size):
-        cells = buf[:min(size, h - y)]
-        np.multiply(index[y:y + len(cells)], p, out=cells, dtype=np.intp)
-        cells += index[y + 1:y + 1 + len(cells)]
-        counts = np.bincount(cells, minlength=p * p).reshape(p, p)
-        B = counts if y == 1 else B + counts
-    N = B + B.T
-    N[index[h], index[h]] += 1
-    N.setflags(write=False)
-    return N
 
 
 def _powers(x: int, n: int, q: int) -> np.ndarray:

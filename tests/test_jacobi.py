@@ -12,7 +12,6 @@ from primarity import jacobi
 from primarity.cycring import CycModP
 from primarity.jacobi import (
     TwistContext,
-    cyclotomic_numbers,
     derivation_check,
     exponent_set,
     exponent_set_for,
@@ -21,7 +20,14 @@ from primarity.jacobi import (
     pair_key,
     twist_product,
 )
-from primarity.modarith import LOG_TABLE_CAP, coset_index, is_prime, primitive_root, split_primes
+from primarity.modarith import (
+    LOG_TABLE_CAP,
+    build_log_table,
+    cyclotomic_numbers,
+    is_prime,
+    primitive_root,
+    split_primes,
+)
 from primarity.residue_symbols import exact_jacobi_sum, exact_twist_component
 
 from _goldens import SCAN37_LOW
@@ -99,18 +105,18 @@ def test_cyclotomic_kernel_matches_oracles():
     two_is_a_pth_power = [(3, 31), (5, 151), (11, 331), (37, 11471)]
     cases += [(p, l, None) for p, l in two_is_a_pth_power]
     cases += [(257, 151631, None)]
-    assert coset_index(149, 2, 37)[74] != 0
+    assert build_log_table(149, 2).dlog[74] % 37 != 0
     for p, l in two_is_a_pth_power:
-        assert coset_index(l, primitive_root(l), p)[(l - 1) // 2] == 0, (p, l)
+        assert build_log_table(l, primitive_root(l)).dlog[(l - 1) // 2] % p == 0, (p, l)
     for _ in range(6):
         p = rng.choice((5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43))
         l = rng.choice(list(split_primes(p, count=8)))
         cases += [(p, l, None), (p, l, rng.choice(_primitive_roots(l)[1:]))]
     for p, l, g in cases:
         ctx = TwistContext.build(p, l, g=g)
-        want_N = cyclotomic_numbers_naive(p, l, ctx.g)
-        N = cyclotomic_numbers(coset_index(l, ctx.g, p), p).tolist()
-        assert N == want_N
+        N = cyclotomic_numbers_naive(p, l, ctx.g)
+        if g is None:
+            assert cyclotomic_numbers(p, l).tolist() == N, (p, l)
         for i in range(1, ctx.c):
             assert ctx.counts[i - 1].tolist() == jacobi_counts_from_cyclotomic(N, p, i), (p, l, g)
         for i in rng.sample(range(1, p - 1), min(3, p - 2)):
@@ -119,9 +125,9 @@ def test_cyclotomic_kernel_matches_oracles():
             assert jacobi_sum(ctx, i) == CycModP(p, [v % p for v in want]), (p, l, g, i)
 
 
-def test_twist_context_build_allocates_nothing_that_grows_with_l_beyond_the_index():
-    # the uint8 coset index of l = 750287 takes 0.75 MB; one int64 or intp
-    # array of h = (l-1)/2 entries would add 3 MB
+def test_twist_context_build_allocates_nothing_that_grows_with_l():
+    # the context holds no array of l: its peak at l = 750287 is 0.36 MB,
+    # while one int64 or intp array of h = (l-1)/2 entries would take 3 MB
     tracemalloc.start()
     try:
         TwistContext.build(37, 750287)
@@ -133,13 +139,13 @@ def test_twist_context_build_allocates_nothing_that_grows_with_l_beyond_the_inde
 
 def test_jacobi_counts_every_index_matches_character_sums():
     # every i in [1, p-2], the c - 1 of the context and the DFTs of the
-    # others, at pairs with p**2 > l: (151, 907) has c = 6 > 2, and p = 257
-    # makes the coset index uint16.  The oracle folds z**(p-1) away, which
+    # others, at pairs with p**2 > l: (151, 907) has c = 6 > 2, and
+    # (257, 1543) has c = 3.  The oracle folds z**(p-1) away, which
     # leaves the counts up to a constant; their total, l - 2 terms
     # y != 0, 1, pins it, and the exact kernel of residue_symbols relies on it.
-    for p, l, c, dtype in ((151, 907, 6, np.uint8), (257, 1543, 3, np.uint16)):
+    for p, l, c in ((151, 907, 6), (257, 1543, 3)):
         ctx = TwistContext.build(p, l)
-        assert ctx.c == c and coset_index(l, ctx.g, p).dtype == dtype
+        assert ctx.c == c
         for i in range(1, p - 1):
             t = jacobi_counts(ctx, i)
             assert t.shape == (p,) and int(t.sum()) == l - 2, (p, l, i)
@@ -153,7 +159,7 @@ def test_cyclotomic_numbers_invariants_at_scan37_high_size():
     # counts of every J_i are the anti-diagonal sums of N
     p, l = 37, 742073
     ctx = TwistContext.build(p, l)
-    N = cyclotomic_numbers(coset_index(l, ctx.g, p), p)
+    N = cyclotomic_numbers(p, l)
     for i in range(1, p - 1):
         assert jacobi_counts(ctx, i).tolist() == jacobi_counts_from_cyclotomic(N.tolist(), p, i), i
     M, is0 = (l - 1) // p, np.arange(p) == 0
@@ -401,9 +407,9 @@ def test_derivation_check_trips_on_each_relation(p, l):
 @pytest.mark.parametrize("p,l", [(3, 7), (5, 11), (37, 149), (37, 4219), (997, 3989)])
 def test_exponent_set_raises_without_the_self_mirrored_cell(p, l):
     ctx = TwistContext.build(p, l)
-    index, h = coset_index(l, ctx.g, p), (l - 1) // 2
-    N = cyclotomic_numbers(index, p).copy()
-    N[index[h], index[h]] -= 1
+    ind_h = build_log_table(l, ctx.g).dlog[(l - 1) // 2] % p
+    N = cyclotomic_numbers(p, l).copy()
+    N[ind_h, ind_h] -= 1
     counts = np.array([jacobi_counts_from_cyclotomic(N.tolist(), p, i) for i in range(1, ctx.c)])
     with pytest.raises(ArithmeticError, match="derivation relation"):
         exponent_set(dataclasses.replace(ctx, counts=counts))

@@ -1,4 +1,6 @@
-"""Primality, primitive roots, coset indices, log tables, split-prime streams."""
+"""Primality, primitive roots, log tables, cyclotomic numbers, split-prime streams."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,14 +9,12 @@ from primarity import modarith
 from primarity.modarith import (
     LOG_TABLE_CAP,
     build_log_table,
-    coset_index,
+    cyclotomic_numbers,
     factorize,
     is_prime,
     primitive_root,
     split_primes,
 )
-
-from primarity.jacobi import cyclotomic_numbers
 
 from oracles import (
     cyclotomic_numbers_naive,
@@ -127,18 +127,10 @@ def test_log_table_matches_naive_dlog():
         assert t.powers[k] == v
 
 
-# both dense arrays of l, through the one set of checks; p = (l-1)/2, the
-# largest p with 2p | l - 1, makes the coset index the log mod (l-1)/2
-BUILDERS = [build_log_table, lambda l, g: coset_index(l, g, (l - 1) // 2)]
-
-
 def test_log_table_rejects_non_primitive_base():
     # 4 is a square, so its powers repeat before covering F_29*
-    for build in BUILDERS:
-        with pytest.raises(ValueError, match="not a primitive root"):
-            build(29, 4)
     with pytest.raises(ValueError, match="4 is not a primitive root mod 29"):
-        coset_index(29, 4, 7)
+        build_log_table(29, 4)
 
 
 @pytest.mark.parametrize("l, g", [
@@ -147,9 +139,8 @@ def test_log_table_rejects_non_primitive_base():
     (9, 2), (561, 2),  # a composite modulus has no element of order l - 1
 ])
 def test_log_table_rejects_bases_of_lower_order(l, g):
-    for build in BUILDERS:
-        with pytest.raises(ValueError, match=f"{g} is not a primitive root mod {l}"):
-            build(l, g)
+    with pytest.raises(ValueError, match=f"{g} is not a primitive root mod {l}"):
+        build_log_table(l, g)
 
 
 @pytest.mark.parametrize("l", [31, 37])
@@ -162,17 +153,24 @@ def test_log_table_accepts_exactly_the_bases_of_full_order(l):
             continue
         accepted.add(g)
         assert sorted(t.powers.tolist()) == list(range(1, l))
-        p = (l - 1) // 2
-        assert coset_index(l, g, p)[1:].tolist() == (t.dlog[1:] % p).tolist()
     assert accepted == {g for g in range(2 * l) if multiplicative_order_naive(g, l) == l - 1}
+    # p = (l-1)/2, the largest p with 2p | l - 1, makes the coset index the log mod (l-1)/2
+    p = (l - 1) // 2
+    assert cyclotomic_numbers(p, l).tolist() == cyclotomic_numbers_naive(p, l, primitive_root(l))
+
+
+@pytest.mark.parametrize("p, l", [(2, 9), (5, 561), (3, 25)])
+def test_cyclotomic_numbers_rejects_composite_l(p, l):
+    with pytest.raises(ValueError, match=f"q={l} is not prime"):
+        cyclotomic_numbers(p, l)
 
 
 def test_log_table_refuses_oversized_modulus():
-    for build in BUILDERS:
-        with pytest.raises(ValueError, match=f"modulus {LOG_TABLE_CAP + 3} exceeds the log-table"):
-            build(LOG_TABLE_CAP + 3, 2)
-    with pytest.raises(ValueError, match="exceeds the log-table cap"):
-        coset_index(LOG_TABLE_CAP + 3, 2, 3)
+    with pytest.raises(ValueError, match=f"modulus {LOG_TABLE_CAP + 3} exceeds the log-table"):
+        build_log_table(LOG_TABLE_CAP + 3, 2)
+    # the least split prime of 3 above the cap
+    with pytest.raises(ValueError, match="modulus 67108879 exceeds the log-table cap"):
+        cyclotomic_numbers(3, 67108879)
 
 
 def test_log_table_arrays_are_read_only():
@@ -184,16 +182,19 @@ def test_log_table_arrays_are_read_only():
     assert t.powers.dtype == np.int32 and t.dlog.dtype == np.int32
 
 
-# (p, l, g).  The powers come in chunks of n = p * ceil(min(_CHUNK, h) / p)
-# entries, and only the exponents below h = (l-1)/2 are formed; n = h at
-# (37, 149), (3, 103) and (331, 1987), which is uint16.  At the default
-# _CHUNK = 4096: h is an exact multiple of n at (37, 65713), where
-# n = 4107 and h = 8n, and the last chunk runs past h - 1 at (5, 30011),
-# (37, 21683) with the least root and another, and (257, 433817), uint16
-# with n = 4112 and h = 216908.  (37, 65713) also has h - 1 > 2**15 pairs,
-# so cyclotomic_numbers counts them in two chunks.  Each pair runs again at
-# _CHUNK = p, 2p and 3p + 1, so n = p, 2p and 4p unless h is smaller, and
-# the log table, whose chunks have min(_CHUNK, l - 1) entries, as well.
+# (p, l, g), g the base of the log table; the coset index of
+# cyclotomic_numbers is taken to the least root, which g is unless it is
+# 3 at l = 149, 32 at 21683 or 10 at 65713.  The powers come in chunks of
+# n = p * ceil(min(_CHUNK, h) / p) entries, and only the exponents below
+# h = (l-1)/2 are formed; n = h at (37, 149), (3, 103) and (331, 1987),
+# whose index is uint16.  At the default _CHUNK = 4096: h is an exact
+# multiple of n at (37, 65713), where n = 4107 and h = 8n, and the last
+# chunk runs past h - 1 at (5, 30011), (37, 21683) and (257, 433817),
+# uint16 with n = 4112 and h = 216908.  (37, 65713) also has h - 1 > 2**15
+# pairs, so cyclotomic_numbers counts them in two chunks.  Each pair runs
+# again at _CHUNK = p, 2p and 3p + 1, so n = p, 2p and 4p unless h is
+# smaller, and the log table, whose chunks have min(_CHUNK, l - 1)
+# entries, as well.
 COSET_PAIRS = [(37, 149, 2), (37, 149, 3), (3, 103, 5), (37, 21683, 2), (37, 21683, 32),
                (331, 1987, 2), (257, 433817, 3), (37, 65713, 10), (5, 30011, 2)]
 
@@ -203,37 +204,44 @@ def test_coset_index_matches_naive_dlog_and_counts_the_cyclotomic_numbers(p, l, 
     logs = dlog_map(l, g)
     dlog = np.array([logs[v] for v in range(1, l)])
     powers = np.array(sorted(logs, key=logs.get))
-    want_N = cyclotomic_numbers_naive(p, l, g)
+    want_N = cyclotomic_numbers_naive(p, l, primitive_root(l))
     for chunk in (modarith._CHUNK, p, 2 * p, 3 * p + 1):
         monkeypatch.setattr(modarith, "_CHUNK", chunk)
-        index = coset_index(l, g, p)
-        assert index.dtype == (np.uint8 if p < 256 else np.uint16)
-        assert len(index) == l
-        assert np.array_equal(index[1:], dlog % p), chunk
-        assert cyclotomic_numbers(index, p).tolist() == want_N, chunk
+        assert cyclotomic_numbers(p, l).tolist() == want_N, chunk
         t = build_log_table(l, g)
         assert np.array_equal(t.dlog[1:], dlog) and np.array_equal(t.powers, powers), chunk
 
 
-def test_coset_index_is_read_only():
-    index = coset_index(149, 2, 37)
+def test_cyclotomic_numbers_are_read_only():
+    N = cyclotomic_numbers(37, 149)
     with pytest.raises(ValueError):
-        index[1] = 5
+        N[0, 1] = 5
+
+
+def test_cyclotomic_numbers_build_only_the_half_range_index():
+    # the uint8 coset index of half the residues of l = 750287 takes
+    # 0.375 MB and the chunked bincount 0.26 MB; an index of all l
+    # residues alone would take 0.75 MB
+    tracemalloc.start()
+    try:
+        cyclotomic_numbers(37, 750287)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.9e6, peak
 
 
 @pytest.mark.parametrize("p", [0, -37, 5, 38])
 def test_coset_index_rejects_p_not_dividing_l_minus_1(p):
     with pytest.raises(ValueError, match=f"p={p} does not divide l - 1 = 148"):
-        coset_index(149, 2, p)
+        cyclotomic_numbers(p, 149)
 
 
 @pytest.mark.parametrize("p", [4, 148])
-def test_coset_index_and_cyclotomic_numbers_reject_p_with_2p_not_dividing_l_minus_1(p):
+def test_cyclotomic_numbers_reject_p_with_2p_not_dividing_l_minus_1(p):
     # p divides l - 1 = 148 but 2p does not: -1 would not lie in C_0
     with pytest.raises(ValueError, match=f"2p with p={p} does not divide l - 1 = 148"):
-        coset_index(149, 2, p)
-    with pytest.raises(ValueError, match=rf"2p with p={p} does not divide len\(index\) - 1 = 148"):
-        cyclotomic_numbers(coset_index(149, 2, 37), p)
+        cyclotomic_numbers(p, 149)
 
 
 @pytest.mark.parametrize("p", [9, 15, 91])
