@@ -13,8 +13,9 @@ off its counts t_i[e] = #{y : chi**i(y) chi(1 - y) = zeta**e}, which sum to
 l - 2.  With M = (l-1)/p, which is even, and h = g**M, the Jacobi-sum
 congruence (Ireland-Rosen, ch. 14) maps zeta -> h**b, b in [1, p-1], to
 sum_e t_i[e] h**(b*e) = -binom(bM, AM) mod l, A = -i*b mod p, which is 0
-when A > b, so one inverse DFT of length p mod l gives every t_i[e] in
-[0, l) exactly from the factorials (kM)! mod l.
+when A > b.  One inverse DFT of length p mod l of these values, from
+jacobi_values, gives every t_i[e] in [0, l) exactly from the factorials
+(kM)! mod l, and residue_symbols.classify reads S_n off the same values.
 
 Exponent sets never multiply out S_n.  Mod p, Phi_p = (x-1)**(p-1) and J
 has augmentation 1, so log J = sum_{k<=p-2} (-1)**(k+1) (J-1)**k / k is
@@ -156,19 +157,28 @@ def _factorials(p: int, l: int) -> np.ndarray:
     return F
 
 
+def jacobi_values(p: int, l: int, F: np.ndarray, i, b) -> np.ndarray:
+    """J_i(h**b) mod l, h = g**M, from the factorials F, for i and b in [1, p) that broadcast.
+
+    It is binom(bM, AM) = F[b] F[p-A] F[p-b+A], A = -i*b mod p, as 1/F[k] =
+    -F[p-k], which is 0 exactly when A > b; at b = 0 it is 1, not J_i(1).
+    """
+    A = i * (p - b) % p
+    return F[b] * F[p - A] % l * F[A + (p - b)] % l
+
+
 def _counts(p: int, l: int, c: int, g: int, F: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """Rows t_i, i in indices, of the counts of J_i from the factorials F, read-only.
 
-    binom(bM, AM) = F[b] F[p-A] F[p-b+A], as 1/F[k] = -F[p-k].  With b = c**u
-    and e = c**v, h**(-b*e) is entry u + v of one doubled row, so the DFT is
-    one product with a windowed view of it, summed in blocks of u that keep
+    With b = c**u and e = c**v, h**(-b*e) is entry u + v of one doubled
+    row, so the DFT of the values J_i(h**b) = -sum_e t_i[e] h**(b*e) is one
+    product with a windowed view of it, summed in blocks of u that keep
     int64 sums below 2**63.  t_i[0] is l - 2 less the rest; were it negative,
     the counts would not sum to l - 2, and ArithmeticError is raised.
     """
     b = _powers(c, p - 1, p)
     window = _hankel(_powers(pow(g, (l - 1) // p, l), p, l)[p - b])
-    A = indices[:, None] * (p - b) % p
-    B = F[b] * F[p - A] % l * F[A + (p - b)] % l * pow(p, -1, l) % l  # -V_b / p
+    B = jacobi_values(p, l, F, indices[:, None], b) * pow(p, -1, l) % l
     S, step = np.zeros_like(B), (2**63 - 1 - l) // (l - 1) ** 2
     for u in range(0, p - 1, step):
         S = (S + B[:, u:u + step] @ window[:, u:u + step].T) % l

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import atexit
 import csv
+import weakref
 from collections import deque
 from functools import partial
 from itertools import chain
@@ -27,8 +28,11 @@ class JsonlStore:
 
     Subclasses set `record` to the record class.  Bytes after the last
     newline are an append cut short by a kill: they are dropped on load
-    and truncated away before the next append, so that row is recomputed.
-    A complete line that does not decode is an error naming path:line.
+    and truncated away before the first append, so that row is recomputed.
+    The first put opens the one append handle of the store, closed with
+    the store or at exit, and each put flushes its line, so a kill leaves
+    at most one torn line.  A complete line that does not decode is an
+    error naming path:line.
     """
 
     record: type
@@ -37,6 +41,7 @@ class JsonlStore:
         self.path = Path(path)
         self._mem: dict[tuple, object] = {}
         self._keep: int | None = None  # file length to cut a torn tail back to
+        self._fh = None  # the append handle, opened by the first put
         if not self.path.exists():
             return
         end = 0
@@ -65,12 +70,14 @@ class JsonlStore:
         if rec.key in self._mem:
             return
         self._mem[rec.key] = rec
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="ascii") as fh:
+        if self._fh is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._fh = open(self.path, "a", encoding="ascii")
+            weakref.finalize(self, self._fh.close)
             if self._keep is not None:
-                fh.truncate(self._keep)
-                self._keep = None
-            fh.write(rec.to_json() + "\n")
+                self._fh.truncate(self._keep)
+        self._fh.write(rec.to_json() + "\n")
+        self._fh.flush()
 
 
 _pool = None  # (jobs, pool): this process's worker pool, started at the first store miss

@@ -7,12 +7,14 @@ of S_n, the residue symbol u of S_n / l**v at a root of Phi_p mod l, and
 the p-adic valuation s of S_n - 1.  l splits into the p-1 primes
 P_k = (l, x - w**k), w = g**M mod l, M = (l-1)/p, and as
 J_i sigma_-1(J_i) = l, each P_k divides J_i at most once (Ireland and
-Rosen, ch. 14; Washington, section 6.2).  So v counts which J_i(w**k)
-vanish mod l, and u multiplies the J_i at the Teichmuller lift of w mod
-l**2, divided by l where they vanish.  s >= 1 exactly when S_n = 1 mod
-p: the full range a = 1 .. p-1 makes S_n the square of the half-range
-component of jacobi, which has augmentation 1, and in the local ring
-F_p[x]/Phi_p = F_p[x]/(x-1)**(p-1) such a square is 1 only for 1 itself.
+Rosen, ch. 14; Washington, section 6.2).  The values J_i(w**k) mod l
+come from the factorials of the context by the Jacobi-sum congruence
+(jacobi.jacobi_values).  v counts which of them vanish, and u multiplies
+them, with 1/J_i(w**-k) mod l for a J_i(w**k) that vanishes, as the unit
+part of J_i at P_k.  s >= 1 exactly when S_n = 1 mod p: the full range
+a = 1 .. p-1 makes S_n the square of the half-range component of jacobi,
+which has augmentation 1, and in the local ring F_p[x]/Phi_p =
+F_p[x]/(x-1)**(p-1) such a square is 1 only for 1 itself.
 So s = 0 is read off the mod-p exponent set, and only for n in the set
 does s come from S_n mod p**K, with K doubling from 2.
 
@@ -53,7 +55,7 @@ from operator import attrgetter
 import numpy as np
 
 from .jacobi import (TwistContext, _hankel, _powers, check_exponent, exponent_set, jacobi_counts,
-                     pair_key)
+                     jacobi_values, pair_key)
 from .modarith import factorize, is_prime, primitive_root
 from .records import JsonlStore
 
@@ -316,12 +318,14 @@ def residue_symbol(reduced: CycBigInt, l: int, g: int) -> int:
 
 @dataclass(frozen=True)
 class SymbolReport:
-    """Local and global pth-power verdicts for one exact component.
+    """Local and global pth-power verdicts for one component S_n.
 
-    s is the minimal p-adic valuation of S_n - 1 (None when S_n = 1
-    exactly), v the l-adic content, u the residue symbol of the reduced
-    component.  The verdicts are read off these: classification keeps
-    only the strongest statement, the two booleans keep all of them.
+    s is the minimal p-adic valuation of S_n - 1, v the l-adic content, u
+    the residue symbol of the reduced component.  classify never gives
+    s = None, which stood for S_n = 1 exactly, as |S_n| > 1; a record that
+    holds it still reads as local at p.  The verdicts are read off these:
+    classification keeps only the strongest statement, the two booleans
+    keep all of them.
     """
 
     p: int
@@ -335,7 +339,7 @@ class SymbolReport:
 
     CSV_HEADER = ("p", "n", "l", "v", "s", "u", "classification")
     key = property(attrgetter("p", "n", "l", "c", "g"))
-    local_at_p = property(lambda self: self.s != 0)  # includes S_n = 1 exactly (s is None)
+    local_at_p = property(lambda self: self.s != 0)
     local_at_l = property(lambda self: self.v % self.p == 0 and self.u == 1)
 
     @property
@@ -378,28 +382,6 @@ def symbol_key(p: int, n: int, l: int, c: int | None = None,
     """(p, n, l, c, g) for a valid pair, c and g resolved by pair_key."""
     p, l, c, g = pair_key(p, l, c, g)
     return p, n, l, c, g
-
-
-def _root_values(ctx: TwistContext, cu: np.ndarray) -> np.ndarray:
-    """V[i-1, k] = J_i(W**k) mod l**2 for i in [1, c-1] and k in [0, p), read-only.
-
-    W = w**l mod l**2 is the Teichmuller lift of w = g**M mod l, the root of
-    order p that residue_symbol tries first, so V[:, k] is J_i modulo the
-    square of the prime (l, x - w**k).  With cu[u] = c**u mod p, W**(cu[u]
-    * cu[v]) is entry u + v of a doubled row.  Each power of W splits as
-    lo + l*hi with lo, hi < l, and the counts sum to l - 2, so both sums
-    over the counts stay below l**2 < 2**52.
-    """
-    p, l, c = ctx.p, ctx.l, ctx.c
-    ll = l * l
-    lift = pow(pow(ctx.g, (l - 1) // p, l), l, ll)
-    hi, lo = np.divmod(_powers(lift, p, ll)[cu], l)
-    t = np.stack([jacobi_counts(ctx, i) for i in range(1, c)])
-    V = np.full((c - 1, p), 2 - l, dtype=np.int64)  # J_i(1) = -(l - 2)
-    V[:, cu] = -(t[:, :1] + t[:, cu] @ _hankel(lo).T + l * (t[:, cu] @ _hankel(hi).T % l))
-    V %= ll
-    V.setflags(write=False)
-    return V
 
 
 def _component_mod(ctx: TwistContext, e: list[int], q: int) -> np.ndarray:
@@ -461,39 +443,39 @@ def _s_valuation(ctx: TwistContext, e: list[int]) -> int:
 def classify(ctx: TwistContext, n: int) -> SymbolReport:
     """Classify S_n as a pth power from the Jacobi sums at the primes above l.
 
-    Each prime P_k = (l, x - w**k) above l divides J_i at most once, as
-    J_i sigma_-1(J_i) = l: exactly one of J_i(w**k), J_i(w**-k) vanishes
-    mod l, and neither mod l**2, or ArithmeticError is raised.  So S_n has
-    valuation v_k = sum_a e_a #{i : J_i(w**(a*k)) = 0 mod l} at P_k, with
-    e_a = a**(n-1) mod p, and l-content v = min_k v_k.  The residue symbol
-    is read at the first k with v_k = v, where S_n / l**v is a unit: each
-    factor J_i(W**(a*k)) mod l**2 is divided by l where l divides it, and
-    u = (prod of the factors**e_a)**M mod l.  s = 0 unless n is in
-    exponent_set(ctx); for n in the set s comes from _s_valuation, which
-    must find s >= 1, or ArithmeticError is raised.
+    exponent_set(ctx) runs first, so every call checks the derivation
+    relations of the counts.  P_k = (l, x - w**k) divides J_i where V_i(k)
+    = J_i(w**k) mod l of jacobi_values vanishes, and then once, so S_n has
+    valuation v_k = sum_a e_a #{i : V_i(a*k) = 0} at P_k, e_a = a**(n-1)
+    mod p, and l-content v = min_k v_k.  u is read at the first k with
+    v_k = v.  At the Teichmuller lift W of w, J_i(W**b) J_i(W**-b) = l mod
+    l**2, so the unit part of a factor l divides is 1/V_i(-b), and u =
+    (prod of the factors**e_a)**M mod l.  s = 0 unless n is in the set;
+    then _s_valuation must find s >= 1, or ArithmeticError is raised.
     """
     p, l = ctx.p, ctx.l
     check_exponent(p, n)
-    e = [pow(a, n - 1, p) for a in range(1, p)]
+    in_set = n in exponent_set(ctx)
+    e = np.array([pow(a, n - 1, p) for a in range(1, p)])
     cu = _powers(ctx.c, p - 1, p)
-    V = _root_values(ctx, cu)
-    zero = V % l == 0
-    if (zero[:, 1:] == zero[:, :0:-1]).any() or (V[:, 1:] == 0).any():
-        raise ArithmeticError(f"the Jacobi sums of (p, l, c, g) = {p, l, ctx.c, ctx.g} "
-                              "do not split l into conjugate primes")
+    r = np.arange(p)
+    V = jacobi_values(p, l, ctx.factorials, np.arange(1, ctx.c)[:, None], r)  # column 0 unread
+    zero = V == 0
     v_k = np.full(p, -1, dtype=np.int64)
     # with a = c**x and k = c**u, the J_i(w**(a*k)) sit at x + u
-    v_k[cu] = _hankel(zero.sum(axis=0)[cu]) @ np.array(e)[cu - 1]
+    v_k[cu] = _hankel(zero.sum(axis=0)[cu]) @ e[cu - 1]
     v = int(v_k[1:].min())
-    k = int(np.argmax(v_k == v))
-    f = V[:, np.arange(1, p) * k % p]
+    b = r[1:] * int(np.argmax(v_k == v)) % p
+    # a factor l divides enters as V_i(-b)**-e_a
+    factors = np.where(zero[:, b], V[:, p - b], V[:, b]).ravel().tolist()
+    powers = np.where(zero[:, b], -e, e).ravel().tolist()
     acc = 1
-    for factors, ea in zip((np.where(f % l, f, f // l) % l).T.tolist(), e):
-        acc = acc * pow(math.prod(factors), ea, l) % l
+    for x, ea in zip(factors, powers):
+        acc = acc * pow(x, ea, l) % l
     u = pow(acc, (l - 1) // p, l)
     s = 0
-    if n in exponent_set(ctx):
-        s = _s_valuation(ctx, e)
+    if in_set:
+        s = _s_valuation(ctx, e.tolist())
         if s == 0:
             raise ArithmeticError(f"S_n mod p at (p, l, c, g) = {p, l, ctx.c, ctx.g} "
                                   f"contradicts the exponent set, which holds n={n}")

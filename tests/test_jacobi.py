@@ -153,6 +153,20 @@ def test_jacobi_counts_every_index_matches_character_sums():
             assert [int(t[p - 1] - t[e]) for e in range(p - 1)] == want, (p, l, i)
 
 
+@pytest.mark.parametrize("p,l", [(3, 7), (5, 11), (7, 29), (41, 83)])
+def test_jacobi_values_match_the_character_sum_oracle(p, l):
+    # J_i(h**b) mod l, h = g**M, for every i in [1, p-2] and b in [1, p).
+    # The oracle folds z**(p-1) away, which holds at the roots of Phi_p
+    # only, so it has no value at h**0 = 1
+    ctx = TwistContext.build(p, l)
+    h = pow(ctx.g, (l - 1) // p, l)
+    got = jacobi.jacobi_values(p, l, ctx.factorials, np.arange(1, p - 1)[:, None], np.arange(1, p))
+    for i in range(1, p - 1):
+        J = jacobi_charsum(p, l, ctx.g, i)
+        want = [sum(x * pow(h, b * k, l) for k, x in enumerate(J)) % l for b in range(1, p)]
+        assert got[i - 1].tolist() == want, i
+
+
 def test_cyclotomic_numbers_invariants_at_scan37_high_size():
     # oracle-free checks at the first SCAN37_HIGH prime, where a slice of the
     # coset indices off by one breaks the sums; p**2 < l there, and the

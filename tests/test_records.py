@@ -87,6 +87,16 @@ def test_store_drops_a_torn_tail_and_cuts_it_before_the_next_append(tmp_path):
     assert path.read_text().endswith('"s')  # loading alone leaves the file as it is
     store.put(Square(3, 9))
     assert path.read_text() == '{"n": 2, "sq": 4}\n{"n": 3, "sq": 9}\n'
+    store.put(Square(4, 16))  # through the same handle, after the cut
+    assert path.read_text() == '{"n": 2, "sq": 4}\n{"n": 3, "sq": 9}\n{"n": 4, "sq": 16}\n'
+    assert len(SquareStore(path)) == 3
+
+
+def test_store_that_never_puts_creates_nothing(tmp_path):
+    store = SquareStore(tmp_path / "cache" / "sq.jsonl")
+    assert store.get(2) is None and len(store) == 0
+    del store
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_store_names_the_line_that_does_not_decode(tmp_path):

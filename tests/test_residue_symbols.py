@@ -9,7 +9,7 @@ import random
 import numpy as np
 import pytest
 
-from primarity import residue_symbols
+from primarity import jacobi, residue_symbols
 from primarity.cli import main
 from primarity.cycring import CycModP
 from primarity.jacobi import TwistContext, exponent_set, twist_product
@@ -582,14 +582,16 @@ def test_the_pinned_pairs_reach_every_branch():
 
 
 def test_the_pin_catches_a_unit_read_mod_l_alone(monkeypatch):
-    # the mutant keeps J_i(W**k) mod l alone, so a factor that l divides has
-    # no unit part left; it counts as 1 in place of J_i(W**k) / l mod l
-    values = residue_symbols._root_values
-    monkeypatch.setattr(residue_symbols, "_root_values",
-                        lambda ctx, cu: np.where(values(ctx, cu) % ctx.l, values(ctx, cu), ctx.l))
-    wrong = [case for case in PINNED if _vsu(*case) != _exact_route(*case)]
+    # a factor that l divides enters classify as V_i(-b)**-e_a, its unit
+    # 1/V_i(-b) mod l; the mutant drops every negative power, so it reads
+    # such a factor off V mod l alone, as 1.  The exact route inverts mod q
+    # too, so it runs first
+    want = {case: _exact_route(*case) for case in PINNED}
+    monkeypatch.setattr(residue_symbols, "pow", lambda x, y, m: 1 if y < 0 else pow(x, y, m),
+                        raising=False)
+    wrong = [case for case in PINNED if _vsu(*case) != want[case]]
     assert len(wrong) > len(PINNED) // 2
-    assert all(_vsu(*case)[:2] == _exact_route(*case)[:2] for case in wrong)
+    assert all(_vsu(*case)[:2] == want[case][:2] for case in wrong)
 
 
 @pytest.mark.parametrize("p,l,n,c", [(5, 281, 2, None), (11, 23, 2, None), (41, 83, 12, 6)])
@@ -627,13 +629,43 @@ def test_a_shifted_count_fails_the_self_check(monkeypatch, capsys):
     t[0, 2] += 1
     t.setflags(write=False)
     shifted = dataclasses.replace(ctx, counts=t)
-    with pytest.raises(ArithmeticError, match="do not split l into conjugate primes"):
+    with pytest.raises(ArithmeticError, match="breaks a derivation relation"):
         classify(shifted, 32)
     monkeypatch.setattr(TwistContext, "build", lambda *args, **kwargs: shifted)
     rc = main(["symbol", "--p", "37", "--n", "32", "--l", "149"])
     out = capsys.readouterr()
     assert rc == 5 and out.out == ""
-    assert "do not split l into conjugate primes" in out.err
+    assert "breaks a derivation relation" in out.err
+
+
+@pytest.mark.parametrize("p,l,n", [(37, 149, 32), (43, 173, 12)])
+def test_a_factorial_fault_raises_or_leaves_the_report(p, l, n):
+    # F[k] -> F[k] + 1 for each k, with the counts rebuilt from the faulty F:
+    # classify reads v and u off F, and the self-checks read the counts built
+    # from the same F, so a fault trips the count sum or a derivation
+    # relation, or leaves the report as it was
+    ctx = TwistContext.build(p, l)
+    want = classify(ctx, n)
+    raised = 0
+    for k in range(len(ctx.factorials)):
+        F = ctx.factorials.copy()
+        F[k] += 1
+        F.setflags(write=False)
+        try:
+            t = jacobi._counts(p, l, ctx.c, ctx.g, F, np.arange(1, ctx.c))
+            got = classify(dataclasses.replace(ctx, factorials=F, counts=t), n)
+        except ArithmeticError:
+            raised += 1
+        else:
+            assert got == want, k
+    assert raised > len(ctx.factorials) // 2
+
+
+@pytest.mark.parametrize("p,c,n,v", [(37, 2, 32, 259), (41, 6, 12, 1792)])
+def test_v_depends_only_on_p_c_and_n(p, c, n, v):
+    # V_i(b) = 0 exactly when -i*b mod p > b, whatever l is
+    reports = [classify(TwistContext.build(p, l), n) for l in split_primes(p, count=10)]
+    assert {(r.c, r.v) for r in reports} == {(c, v)}
 
 
 def test_s_of_0_for_n_in_the_exponent_set_fails_the_self_check(monkeypatch, capsys):
