@@ -16,6 +16,10 @@ sum_e t_i[e] h**(b*e) = -binom(bM, AM) mod l, A = -i*b mod p, which is 0
 when A > b.  One inverse DFT of length p mod l of these values, from
 jacobi_values, gives every t_i[e] in [0, l) exactly from the factorials
 (kM)! mod l, and residue_symbols.classify reads S_n off the same values.
+The same values are the Jacobi sums J(a, b) of the characters y**(aM) and
+y**(bM), so one 2D inverse DFT of size p x p turns them into the
+cyclotomic numbers that spectra's trace route reads; both DFTs are int64
+products mod l, summed in blocks by _dot_mod.
 
 Exponent sets never multiply out S_n.  Mod p, Phi_p = (x-1)**(p-1) and J
 has augmentation 1, so log J = sum_{k<=p-2} (-1)**(k+1) (J-1)**k / k is
@@ -158,13 +162,24 @@ def _factorials(p: int, l: int) -> np.ndarray:
 
 
 def jacobi_values(p: int, l: int, F: np.ndarray, i, b) -> np.ndarray:
-    """J_i(h**b) mod l, h = g**M, from the factorials F, for i and b in [1, p) that broadcast.
+    """J_i(h**b) mod l, h = g**M, from the factorials F, for i in [0, p) and
+    b in [1, p) that broadcast.
 
     It is binom(bM, AM) = F[b] F[p-A] F[p-b+A], A = -i*b mod p, as 1/F[k] =
-    -F[p-k], which is 0 exactly when A > b; at b = 0 it is 1, not J_i(1).
+    -F[p-k], which is 0 exactly when A > b; at b = 0 it is 1, not J_i(1),
+    and it is 1 at i = 0 and i = p - 1, where A = 0 and A = b.
     """
     A = i * (p - b) % p
     return F[b] * F[p - A] % l * F[A + (p - b)] % l
+
+
+def _dot_mod(x: np.ndarray, y: np.ndarray, l: int) -> np.ndarray:
+    """x @ y mod l for int64 x and y with entries in [0, l), summed in blocks
+    of the inner axis that keep int64 sums below 2**63."""
+    S, step = np.zeros((len(x), y.shape[1]), dtype=np.int64), (2**63 - 1 - l) // (l - 1) ** 2
+    for u in range(0, len(y), step):
+        S = (S + x[:, u:u + step] @ y[u:u + step]) % l
+    return S
 
 
 def _counts(p: int, l: int, c: int, g: int, F: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -172,23 +187,46 @@ def _counts(p: int, l: int, c: int, g: int, F: np.ndarray, indices: np.ndarray) 
 
     With b = c**u and e = c**v, h**(-b*e) is entry u + v of one doubled
     row, so the DFT of the values J_i(h**b) = -sum_e t_i[e] h**(b*e) is one
-    product with a windowed view of it, summed in blocks of u that keep
-    int64 sums below 2**63.  t_i[0] is l - 2 less the rest; were it negative,
-    the counts would not sum to l - 2, and ArithmeticError is raised.
+    _dot_mod with a windowed view of it, symmetric in u and v.  t_i[0] is
+    l - 2 less the rest; were it negative, the counts would not sum to
+    l - 2, and ArithmeticError is raised.
     """
     b = _powers(c, p - 1, p)
     window = _hankel(_powers(pow(g, (l - 1) // p, l), p, l)[p - b])
     B = jacobi_values(p, l, F, indices[:, None], b) * pow(p, -1, l) % l
-    S, step = np.zeros_like(B), (2**63 - 1 - l) // (l - 1) ** 2
-    for u in range(0, p - 1, step):
-        S = (S + B[:, u:u + step] @ window[:, u:u + step].T) % l
     t = np.empty((len(B), p), dtype=np.int64)
-    t[:, b] = ((l - 2) * pow(p, -1, l) - S) % l
+    t[:, b] = ((l - 2) * pow(p, -1, l) - _dot_mod(B, window, l)) % l
     t[:, 0] = l - 2 - t[:, 1:].sum(axis=1)
     if (t[:, 0] < 0).any():
         raise ArithmeticError(f"the counts of (p, l, c, g) = {p, l, c, g} do not sum to l - 2")
     t.setflags(write=False)
     return t
+
+
+def _cyclotomic_numbers(p: int, l: int) -> np.ndarray:
+    """N[d][m] = #{y in C_d : 1 + y in C_m} for a split prime l = 1 + 2ip, read-only.
+
+    C_d = {y : y**M = w**d}, where w = a**M for the least a >= 2 with
+    a**M != 1; any root of order p labels the cosets, and R_l does not see
+    the labels.  With chi**a(y) = y**(aM) and -1 a pth power, as M is even,
+    the Jacobi sums J(a, b) = sum_y chi**a(y) chi**b(1 - y) are
+    sum_(d,m) N[d][m] w**(ad + bm) mod l.  They are l - 2 at a = b = 0, -1
+    where a, b or a + b is 0, and -jacobi_values(a/b, b) elsewhere, which
+    also gives -1 at a = 0 and a = -b.  So N = W J W / p**2 mod l, with
+    W[d, a] = w**(-ad), is exact, as every N[d][m] < l.
+    """
+    F = _factorials(p, l)
+    M = (l - 1) // p
+    w = next(x for x in (pow(a, M, l) for a in range(2, l)) if x != 1)
+    k = np.arange(p)
+    J = np.empty((p, p), dtype=np.int64)
+    J[k[:, None] * k[1:] % p, k[1:]] = l - jacobi_values(p, l, F, k[:, None], k[1:])
+    J[:, 0] = l - 1
+    J[0, 0] = l - 2
+    W = _powers(w, p, l)[k[:, None] * (p - k) % p]
+    N = _dot_mod(_dot_mod(W, J, l), W, l) * pow(p * p, -1, l) % l
+    N.setflags(write=False)
+    return N
 
 
 @dataclass(frozen=True)

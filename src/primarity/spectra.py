@@ -9,11 +9,13 @@ is the characteristic polynomial of the Gaussian periods over F_p, and the
 number of distinct R_l as l grows is the spectrum the heuristic speaks about.
 
 R_l is computed from the cyclotomic numbers N[d][m] = #{y in C_d : 1 + y
-in C_m} (modarith.cyclotomic_numbers), which only this route reads: they
-drive exact integer power sums of the periods, and Newton's identities
-turn those into coefficients without any degree l-1 arithmetic.  The
-dense route, which multiplies out prod(x - eta_b) inside F_p[y]/Phi_l(y),
-is kept as the reference the fast route is tested against.
+in C_m}, one 2D inverse DFT mod l of the Jacobi-sum values of jacobi
+(jacobi._cyclotomic_numbers), which only this route reads: they drive
+exact integer power sums of the periods, and Newton's identities turn
+those into coefficients without any degree l-1 arithmetic or any array
+of size l.  The dense route, which multiplies out prod(x - eta_b) inside
+F_p[y]/Phi_l(y) from a log table, is kept as the reference the fast
+route is tested against.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .cycring import render_poly
-from .jacobi import TwistContext, check_pair, twist_product
-from .modarith import build_log_table, cyclotomic_numbers, primitive_root, split_primes
+from .jacobi import TwistContext, _cyclotomic_numbers, check_pair, twist_product
+from .modarith import build_log_table, primitive_root, split_primes
 from .records import JsonlStore, ordered_map, write_csv
 
 
@@ -197,7 +199,7 @@ def _trace_fast(p: int, l: int) -> list[int]:
     because -1 lies in C_0, so powers of eta_0 stay in the redundant basis
     (constant, eta_0, ..., eta_(p-1)) with exact integer weights.
     """
-    rows = cyclotomic_numbers(p, l).tolist()
+    rows = _cyclotomic_numbers(p, l).tolist()
     M = (l - 1) // p
     psums = [None, -1]  # the periods sum to -1
     cur_c, cur_b = 0, [1] + [0] * (p - 1)  # eta_0

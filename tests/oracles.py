@@ -69,6 +69,33 @@ def cyclotomic_numbers_naive(p: int, l: int, g: int) -> list[list[int]]:
     return N
 
 
+def coset_root(p: int, l: int) -> int:
+    """w = a**M mod l, M = (l-1)/p, for the least a >= 2 with a**M != 1."""
+    M = (l - 1) // p
+    a = 2
+    while pow(a, M, l) == 1:
+        a += 1
+    return pow(a, M, l)
+
+
+def cyclotomic_numbers_by_powers(p: int, l: int, w: int) -> list[list[int]]:
+    """N[d][m] = #{y : y**M = w**d, (1 + y)**M = w**m}, M = (l-1)/p, by plain
+    iteration over y, with no log table."""
+    M = (l - 1) // p
+    label = {}
+    x = 1
+    for d in range(p):
+        label[x] = d
+        x = x * w % l
+    N = [[0] * p for _ in range(p)]
+    d = label[1]
+    for y in range(1, l - 1):  # y = l - 1 has 1 + y = 0
+        m = label[pow(y + 1, M, l)]
+        N[d][m] += 1
+        d = m
+    return N
+
+
 def jacobi_counts_from_cyclotomic(N: list[list[int]], p: int, i: int) -> list[int]:
     """Counts t[e] = #{y : i*log y + log(1 - y) = e (mod p)} from N[d][m].
 

@@ -23,7 +23,6 @@ from primarity.jacobi import (
 from primarity.modarith import (
     LOG_TABLE_CAP,
     build_log_table,
-    cyclotomic_numbers,
     is_prime,
     primitive_root,
     split_primes,
@@ -34,6 +33,8 @@ from _goldens import SCAN37_LOW
 from oracles import (
     block_products_naive,
     component_naive,
+    coset_root,
+    cyclotomic_numbers_by_powers,
     cyclotomic_numbers_naive,
     jacobi_charsum,
     jacobi_counts_from_cyclotomic,
@@ -89,15 +90,25 @@ def test_jacobi_sum_matches_character_sum_oracle():
             assert jacobi_sum(ctx, i) == want, (p, l, i)
 
 
+def _relabel(N, p, l, g):
+    """N with its cosets labelled by g**M: w = coset_root(p, l) = (g**M)**k
+    moves cell (d, m) to (kd, km)."""
+    h, w = pow(g, (l - 1) // p, l), coset_root(p, l)
+    k = next(k for k in range(1, p) if pow(h, k, l) == w)
+    d = np.arange(p) * k % p
+    out = np.empty_like(N)
+    out[np.ix_(d, d)] = N
+    return out
+
+
 def test_cyclotomic_kernel_matches_oracles():
     # p = 3, the smallest split l of several p, random (p, l) with the
     # default root and random (p, l) with another primitive root g; p = 257
     # has p*p = 66049 cells, past int16, and p = 5 runs at l = 30011.  The
-    # kernel counts the pairs below h = (l-1)/2, their mirrors and the cell
-    # (ind(h), ind(h)), with ind(h) = -ind(2): nonzero at (37, 149), and 0 at
-    # the pairs where 2 is a pth power, (3, 31), (5, 151), (11, 331) and
-    # (37, 11471).  (257, 151631) is uint16 with a last chunk of powers of
-    # the coset index that runs past h - 1 (4112 entries, h = 75815).
+    # cell (ind(h), ind(h)) of y = h = (l-1)/2 has ind(h) = -ind(2): nonzero
+    # at (37, 149), and 0 at the pairs where 2 is a pth power, (3, 31),
+    # (5, 151), (11, 331) and (37, 11471), where the coset root w = a**M
+    # of the cyclotomic numbers comes from a >= 3.
     rng = random.Random(31)
     cases = [(3, l, None) for l in split_primes(3, count=3)]
     cases += [(p, next(split_primes(p)), None) for p in (5, 7, 11, 37, 257)]
@@ -116,7 +127,9 @@ def test_cyclotomic_kernel_matches_oracles():
         ctx = TwistContext.build(p, l, g=g)
         N = cyclotomic_numbers_naive(p, l, ctx.g)
         if g is None:
-            assert cyclotomic_numbers(p, l).tolist() == N, (p, l)
+            got = jacobi._cyclotomic_numbers(p, l)
+            assert got.tolist() == cyclotomic_numbers_by_powers(p, l, coset_root(p, l)), (p, l)
+            assert _relabel(got, p, l, ctx.g).tolist() == N, (p, l)
         for i in range(1, ctx.c):
             assert ctx.counts[i - 1].tolist() == jacobi_counts_from_cyclotomic(N, p, i), (p, l, g)
         for i in rng.sample(range(1, p - 1), min(3, p - 2)):
@@ -168,18 +181,17 @@ def test_jacobi_values_match_the_character_sum_oracle(p, l):
 
 
 def test_cyclotomic_numbers_invariants_at_scan37_high_size():
-    # oracle-free checks at the first SCAN37_HIGH prime, where a slice of the
-    # coset indices off by one breaks the sums; p**2 < l there, and the
-    # counts of every J_i are the anti-diagonal sums of N
+    # oracle-free checks at the first SCAN37_HIGH prime; p**2 < l there, and
+    # the counts of every J_i are the anti-diagonal sums of N, labelled by g
     p, l = 37, 742073
     ctx = TwistContext.build(p, l)
-    N = cyclotomic_numbers(p, l)
+    N = _relabel(jacobi._cyclotomic_numbers(p, l), p, l, ctx.g)
     for i in range(1, p - 1):
         assert jacobi_counts(ctx, i).tolist() == jacobi_counts_from_cyclotomic(N.tolist(), p, i), i
     M, is0 = (l - 1) // p, np.arange(p) == 0
     assert (N.sum(axis=1) == M - is0).all()  # y = -1 in C_0 has 1 + y = 0
     assert (N.sum(axis=0) == M - is0).all()  # 1 + y = 1 in C_0 needs y = 0
-    assert (N == N.T).all()  # by construction: the kernel adds each cell's mirror
+    assert (N == N.T).all()  # y -> -1 - y
     d, m = np.ogrid[:p, :p]
     assert (N[-d % p, (m - d) % p] == N).all()  # y -> 1/y
 
@@ -266,6 +278,20 @@ def test_build_raises_on_a_wrong_factorial_block(p, l, monkeypatch):
         monkeypatch.setattr(jacobi, "_block_products", wrong)
         with pytest.raises(ArithmeticError, match="do not sum to l - 2"):
             TwistContext.build(p, l)
+
+
+def test_dot_mod_matches_python_integers_past_one_int64_block():
+    # the largest prime below the cap: int64 sums of (l-1)**2 terms hold
+    # 2048 of them, so an inner length of 5000 takes three blocks
+    l = 67108859
+    step = (2**63 - 1 - l) // (l - 1) ** 2
+    assert step == 2048
+    rng = random.Random(26)
+    x = [[l - 1] * 5000] + [[rng.randrange(l) for _ in range(5000)] for _ in range(2)]
+    y = [[l - 1, rng.randrange(l)] for _ in range(5000)]
+    got = jacobi._dot_mod(np.array(x, dtype=np.int64), np.array(y, dtype=np.int64), l)
+    want = [[sum(a * b for a, b in zip(row, col)) % l for col in zip(*y)] for row in x]
+    assert got.tolist() == want
 
 
 def test_jacobi_norm_at_the_int64_edge_of_the_dft():
@@ -422,7 +448,7 @@ def test_derivation_check_trips_on_each_relation(p, l):
 def test_exponent_set_raises_without_the_self_mirrored_cell(p, l):
     ctx = TwistContext.build(p, l)
     ind_h = build_log_table(l, ctx.g).dlog[(l - 1) // 2] % p
-    N = cyclotomic_numbers(p, l).copy()
+    N = _relabel(jacobi._cyclotomic_numbers(p, l), p, l, ctx.g)
     N[ind_h, ind_h] -= 1
     counts = np.array([jacobi_counts_from_cyclotomic(N.tolist(), p, i) for i in range(1, ctx.c)])
     with pytest.raises(ArithmeticError, match="derivation relation"):

@@ -5,11 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from primarity import modarith
+from primarity import spectra
+from primarity.jacobi import _cyclotomic_numbers
 from primarity.modarith import (
     LOG_TABLE_CAP,
     build_log_table,
-    cyclotomic_numbers,
     factorize,
     is_prime,
     primitive_root,
@@ -17,7 +17,8 @@ from primarity.modarith import (
 )
 
 from oracles import (
-    cyclotomic_numbers_naive,
+    coset_root,
+    cyclotomic_numbers_by_powers,
     dlog_map,
     is_prime_naive,
     multiplicative_order_naive,
@@ -143,7 +144,8 @@ def test_log_table_rejects_bases_of_lower_order(l, g):
         build_log_table(l, g)
 
 
-@pytest.mark.parametrize("l", [31, 37])
+# the doubling fill ends on a full step at l - 1 = 16, on a short one at 30 and 36
+@pytest.mark.parametrize("l", [17, 31, 37])
 def test_log_table_accepts_exactly_the_bases_of_full_order(l):
     accepted = set()
     for g in range(2 * l):
@@ -154,23 +156,32 @@ def test_log_table_accepts_exactly_the_bases_of_full_order(l):
         accepted.add(g)
         assert sorted(t.powers.tolist()) == list(range(1, l))
     assert accepted == {g for g in range(2 * l) if multiplicative_order_naive(g, l) == l - 1}
-    # p = (l-1)/2, the largest p with 2p | l - 1, makes the coset index the log mod (l-1)/2
-    p = (l - 1) // 2
-    assert cyclotomic_numbers(p, l).tolist() == cyclotomic_numbers_naive(p, l, primitive_root(l))
+
+
+def _trace_refuses_before_the_cyclotomic_numbers(p, l, message, monkeypatch):
+    # the cyclotomic numbers do not validate the pair: check_pair in
+    # trace_polynomial does, before the trace route reaches them
+    def refuse(p, l):
+        raise AssertionError(f"_cyclotomic_numbers({p}, {l}) was called")
+
+    monkeypatch.setattr(spectra, "_cyclotomic_numbers", refuse)
+    with pytest.raises(ValueError) as err:
+        spectra.trace_polynomial(p, l)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("p, l", [(2, 9), (5, 561), (3, 25)])
-def test_cyclotomic_numbers_rejects_composite_l(p, l):
-    with pytest.raises(ValueError, match=f"q={l} is not prime"):
-        cyclotomic_numbers(p, l)
+def test_cyclotomic_numbers_rejects_composite_l(p, l, monkeypatch):
+    message = "p=2 is not an odd prime" if p == 2 else f"l={l} is not prime"
+    _trace_refuses_before_the_cyclotomic_numbers(p, l, message, monkeypatch)
 
 
 def test_log_table_refuses_oversized_modulus():
     with pytest.raises(ValueError, match=f"modulus {LOG_TABLE_CAP + 3} exceeds the log-table"):
         build_log_table(LOG_TABLE_CAP + 3, 2)
-    # the least split prime of 3 above the cap
+    # the least split prime of 3 above the cap, where the trace route's factorials refuse it
     with pytest.raises(ValueError, match="modulus 67108879 exceeds the log-table cap"):
-        cyclotomic_numbers(3, 67108879)
+        spectra.trace_polynomial(3, 67108879)
 
 
 def test_log_table_arrays_are_read_only():
@@ -182,49 +193,38 @@ def test_log_table_arrays_are_read_only():
     assert t.powers.dtype == np.int32 and t.dlog.dtype == np.int32
 
 
-# (p, l, g), g the base of the log table; the coset index of
-# cyclotomic_numbers is taken to the least root, which g is unless it is
-# 3 at l = 149, 32 at 21683 or 10 at 65713.  The powers come in chunks of
-# n = p * ceil(min(_CHUNK, h) / p) entries, and only the exponents below
-# h = (l-1)/2 are formed; n = h at (37, 149), (3, 103) and (331, 1987),
-# whose index is uint16.  At the default _CHUNK = 4096: h is an exact
-# multiple of n at (37, 65713), where n = 4107 and h = 8n, and the last
-# chunk runs past h - 1 at (5, 30011), (37, 21683) and (257, 433817),
-# uint16 with n = 4112 and h = 216908.  (37, 65713) also has h - 1 > 2**15
-# pairs, so cyclotomic_numbers counts them in two chunks.  Each pair runs
-# again at _CHUNK = p, 2p and 3p + 1, so n = p, 2p and 4p unless h is
-# smaller, and the log table, whose chunks have min(_CHUNK, l - 1)
-# entries, as well.
+# (p, l, g), g the base of the log table.  The cyclotomic numbers label
+# their cosets by y**M = w**d, w = coset_root(p, l), whatever g is.
+# (331, 1987) and (257, 433817) have p > 255, and p**2 > l at (37, 149)
+# and (331, 1987).  The doubling fill of the log table ends on a short
+# step at every l.
 COSET_PAIRS = [(37, 149, 2), (37, 149, 3), (3, 103, 5), (37, 21683, 2), (37, 21683, 32),
                (331, 1987, 2), (257, 433817, 3), (37, 65713, 10), (5, 30011, 2)]
 
 
 @pytest.mark.parametrize("p, l, g", COSET_PAIRS)
-def test_coset_index_matches_naive_dlog_and_counts_the_cyclotomic_numbers(p, l, g, monkeypatch):
+def test_coset_index_matches_naive_dlog_and_counts_the_cyclotomic_numbers(p, l, g):
     logs = dlog_map(l, g)
-    dlog = np.array([logs[v] for v in range(1, l)])
-    powers = np.array(sorted(logs, key=logs.get))
-    want_N = cyclotomic_numbers_naive(p, l, primitive_root(l))
-    for chunk in (modarith._CHUNK, p, 2 * p, 3 * p + 1):
-        monkeypatch.setattr(modarith, "_CHUNK", chunk)
-        assert cyclotomic_numbers(p, l).tolist() == want_N, chunk
-        t = build_log_table(l, g)
-        assert np.array_equal(t.dlog[1:], dlog) and np.array_equal(t.powers, powers), chunk
+    t = build_log_table(l, g)
+    assert np.array_equal(t.dlog[1:], [logs[v] for v in range(1, l)])
+    assert np.array_equal(t.powers, sorted(logs, key=logs.get))
+    want_N = cyclotomic_numbers_by_powers(p, l, coset_root(p, l))
+    assert _cyclotomic_numbers(p, l).tolist() == want_N
 
 
 def test_cyclotomic_numbers_are_read_only():
-    N = cyclotomic_numbers(37, 149)
+    N = _cyclotomic_numbers(37, 149)
     with pytest.raises(ValueError):
         N[0, 1] = 5
 
 
 def test_cyclotomic_numbers_build_only_the_half_range_index():
-    # the uint8 coset index of half the residues of l = 750287 takes
-    # 0.375 MB and the chunked bincount 0.26 MB; an index of all l
-    # residues alone would take 0.75 MB
+    # nothing grows with l: the p x p DFT and the float64 chunks of the
+    # factorial blocks peak near 0.35 MB at l = 750287, where a uint8
+    # array of half the residues alone would take 0.375 MB
     tracemalloc.start()
     try:
-        cyclotomic_numbers(37, 750287)
+        _cyclotomic_numbers(37, 750287)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -232,16 +232,15 @@ def test_cyclotomic_numbers_build_only_the_half_range_index():
 
 
 @pytest.mark.parametrize("p", [0, -37, 5, 38])
-def test_coset_index_rejects_p_not_dividing_l_minus_1(p):
-    with pytest.raises(ValueError, match=f"p={p} does not divide l - 1 = 148"):
-        cyclotomic_numbers(p, 149)
+def test_coset_index_rejects_p_not_dividing_l_minus_1(p, monkeypatch):
+    message = "l=149 does not split: l % p = 4" if p == 5 else f"p={p} is not an odd prime"
+    _trace_refuses_before_the_cyclotomic_numbers(p, 149, message, monkeypatch)
 
 
 @pytest.mark.parametrize("p", [4, 148])
-def test_cyclotomic_numbers_reject_p_with_2p_not_dividing_l_minus_1(p):
+def test_cyclotomic_numbers_reject_p_with_2p_not_dividing_l_minus_1(p, monkeypatch):
     # p divides l - 1 = 148 but 2p does not: -1 would not lie in C_0
-    with pytest.raises(ValueError, match=f"2p with p={p} does not divide l - 1 = 148"):
-        cyclotomic_numbers(p, 149)
+    _trace_refuses_before_the_cyclotomic_numbers(p, 149, f"p={p} is not an odd prime", monkeypatch)
 
 
 @pytest.mark.parametrize("p", [9, 15, 91])

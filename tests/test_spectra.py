@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,6 +186,19 @@ def test_trace_polynomial_validates_the_pair(method):
         trace_polynomial(5, 13, method)
     with pytest.raises(ValueError, match="l=15 is not prime"):
         trace_polynomial(5, 15, method)
+
+
+def test_trace_at_the_log_table_cap_stays_small():
+    # the largest split prime of 5 below 2**26, the CI row of trace --p 5 --l;
+    # an array of half its residues would take 33 MB
+    tracemalloc.start()
+    try:
+        tp = trace_polynomial(5, 67108721)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tp.row() == [67108721, 5, "x^5 + x^4 + 2*x^3 + 3*x^2 + x + 3"]
+    assert peak < 2e6, peak
 
 
 def test_trace3_catalog():
