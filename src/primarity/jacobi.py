@@ -7,34 +7,35 @@ into ring arithmetic, and the components
 
     S_n = prod_{a=1}^{(p-1)/2} sigma_a(J**(a**(n-1) mod p))
 
-decide p-primarity: n is recorded exactly when S_n = 1.  All of this lives
-in F_p[x]/Phi_p(x) via cycring.  Every J_i, exact ones included, is read
-off its counts t_i[e] = #{y : chi**i(y) chi(1 - y) = zeta**e}, which sum to
-l - 2.  With M = (l-1)/p, which is even, and h = g**M, the Jacobi-sum
-congruence (Ireland-Rosen, ch. 14) maps zeta -> h**b, b in [1, p-1], to
-sum_e t_i[e] h**(b*e) = -binom(bM, AM) mod l, A = -i*b mod p, which is 0
-when A > b.  One inverse DFT of length p mod l of these values, from
-jacobi_values, gives every t_i[e] in [0, l) exactly from the factorials
-(kM)! mod l, and residue_symbols.classify reads S_n off the same values.
-The same values are the Jacobi sums J(a, b) of the characters y**(aM) and
-y**(bM), so one 2D inverse DFT of size p x p turns them into the
-cyclotomic numbers that spectra's trace route reads; both DFTs are int64
-products mod l, summed in blocks by _dot_mod.
+decide p-primarity: n is recorded exactly when S_n = 1.  Every J_i, exact
+ones included, is read off its counts t_i[e] = #{y : chi**i(y) chi(1 - y)
+= zeta**e}, which sum to l - 2.  With M = (l-1)/p, which is even, and h =
+g**M, the Jacobi-sum congruence (Ireland-Rosen, ch. 14) maps zeta -> h**b,
+b in [1, p-1], to sum_e t_i[e] h**(b*e) = -binom(bM, AM) mod l, A = -i*b
+mod p, which is 0 when A > b.  One inverse DFT of length p mod l of these
+values, from jacobi_values, gives every t_i[e] in [0, l) exactly from the
+factorials (kM)! mod l, and residue_symbols.classify reads S_n off the
+same values.  The same values are the Jacobi sums J(a, b) of the
+characters y**(aM) and y**(bM), so one 2D inverse DFT of size p x p turns
+them into the cyclotomic numbers that spectra's trace route reads; both
+DFTs are int64 products mod l, summed in blocks by _dot_mod.
 
 Exponent sets never multiply out S_n.  Mod p, Phi_p = (x-1)**(p-1) and J
 has augmentation 1, so log J = sum_{k<=p-2} (-1)**(k+1) (J-1)**k / k is
 exact, additive and Galois-equivariant.  sigma_a scales the moment m_d(v) =
 sum_k k**d v_k by a**d, and J sigma_-1(J) = l = 1 kills the even moments of
-log J, so S_n = 1 exactly when m_(p-n)(log J) = 0 (mod p).  The log itself
-is never formed: theta = x d/dx is a derivation of F_p[x]/(x**p - 1) with
-m_d(theta v) = m_(d+1)(v), and J sigma_-1(J) = 1 makes sigma_-1(J) the
-inverse of J modulo Phi_p, so theta log J = theta J * sigma_-1(J) and
+log J, so S_n = 1 exactly when m_(p-n)(log J) = 0 (mod p).  As J_i =
+sigma_i(-G) (-G) / sigma_(i+1)(-G) for the Gauss sum G of chi (Ireland-Rosen,
+ch. 14), m_d(log J_i) = f_i(d) m_d(log(-G)) with f_i(d) = 1 + i**d - (i+1)**d,
+and the twist's factor c - c**d is never 0 at odd d <= p-2.  So J_i decides
+n for i = a - 1, a the least a >= 2 with a**n != 1: f_i(p-n) = a (1 - a**-n)
+!= 0, and i < c.  theta = x d/dx is a derivation with m_d(theta v) =
+m_(d+1)(v), and sigma_-1(J_i) inverts J_i mod Phi_p, so by Leibniz's rule
 
-    m_(p-n)(log J) = m_(p-n-1)(theta J * sigma_-1(J)).
+    m_(e+1)(log J_i) = m_e(theta J_i * sigma_-1(J_i)) = e! sum_j a_j b_(e-j)
 
-Both sides change by multiples of Phi_p only, which every m_e with
-0 <= e <= p-2 kills, so the product is taken in F_p[x]/Phi_p.  Each J
-must pass derivation_check first, or exponent_set raises ArithmeticError.
+with a_j = m_(j+1)(J_i)/j! and b_j = (-1)**j m_j(J_i)/j!: one convolution of
+the moments m_0 .. m_(p-2) of J_i, which first pass the derivation relations.
 """
 
 from __future__ import annotations
@@ -85,11 +86,9 @@ def _powers(x: int, n: int, q: int) -> np.ndarray:
                     dtype=np.int64)
 
 
-def _hankel(row: np.ndarray) -> np.ndarray:
-    """View H[u, v] = row[(u + v) mod m] of a row of length m, on one doubled
-    copy of it."""
-    twice = np.tile(row, 2)
-    return np.ndarray((len(row), len(row)), twice.dtype, twice, 0, twice.strides * 2)
+def _hankel(twice: np.ndarray) -> np.ndarray:
+    """View H[u, v] = twice[u + v], u, v in [0, m), of a contiguous row of length 2m."""
+    return np.ndarray((len(twice) // 2,) * 2, twice.dtype, twice, 0, twice.strides * 2)
 
 
 def _mulmod(x: np.ndarray, y: np.ndarray, l: int) -> None:
@@ -192,7 +191,7 @@ def _counts(p: int, l: int, c: int, g: int, F: np.ndarray, indices: np.ndarray) 
     l - 2, and ArithmeticError is raised.
     """
     b = _powers(c, p - 1, p)
-    window = _hankel(_powers(pow(g, (l - 1) // p, l), p, l)[p - b])
+    window = _hankel(np.tile(_powers(pow(g, (l - 1) // p, l), p, l)[p - b], 2))
     B = jacobi_values(p, l, F, indices[:, None], b) * pow(p, -1, l) % l
     t = np.empty((len(B), p), dtype=np.int64)
     t[:, b] = ((l - 2) * pow(p, -1, l) - _dot_mod(B, window, l)) % l
@@ -277,43 +276,42 @@ def check_exponent(p: int, n: int) -> None:
         raise ValueError(f"n={n} must be even and within [2, {p - 3}]")
 
 
-def derivation_check(p: int, J: CycModP) -> bool:
-    """Whether J has the relations of every twisted Jacobi sum, augmentation
-    m_0 = 1 and m_1 = m_2 = m_4 = 0, at each d <= p-2, where m_d is defined
-    mod Phi_p.  The moments are int64 dots of p-1 terms below p**2 each."""
-    k = np.arange(p - 1, dtype=np.int64)
-    k2 = k * k % p
-    cols = {0: np.ones_like(k), 1: k, 2: k2, 4: k2 * k2 % p}
-    return all(int(col @ J.coeffs) % p == int(d == 0) for d, col in cols.items() if d <= p - 2)
+def _moments(p: int, c: int, t: np.ndarray) -> np.ndarray:
+    """m_d(J_i) = -sum_k k**d t_i[k] mod p, d in [0, p-2], for each row t_i of counts t:
+    with k = c**u, ud = C(u+d, 2) - C(u, 2) - C(d, 2) (Bluestein), one int64 product,
+    sums below p**3 < 2**63, with a Hankel view of r[s] = c**C(s, 2) = -r[s + p - 1]."""
+    cu = _powers(c, p - 1, p)
+    tri = np.arange(p - 1) * np.arange(-1, p - 2) // 2 % (p - 1)  # C(s, 2)
+    r, inv = cu[tri], cu[-tri % (p - 1)]
+    m = (t[:, cu] * inv % p) @ _hankel(np.concatenate([r, p - r])) % p * inv
+    m[:, 0] += t[:, 0]  # k = 0 enters m_0 alone
+    return -m % p
 
 
 def exponent_set(ctx: TwistContext) -> tuple[int, ...]:
-    """Ascending even n in [2, p-3] with S_n = 1, that is with m_(p-n-1)(theta J / J) = 0.
-
-    The moments m_e, e = 2, 4, ..., p-3, are one product with k**e mod p,
-    gathered from the powers of c at log_c(k)*e mod p-1 in row blocks; as
-    e is even, k and p - k share a column.  Sums stay below p**3 < 2**63.
-    """
+    """Ascending even n in [2, p-3] with S_n = 1, read off m_(p-n)(log J_i) for i = a - 1
+    and the least a >= 2 with a**n != 1; the rows read, J_1 always, are checked first."""
     p = ctx.p
-    J = twist_product(ctx)
-    if not derivation_check(p, J):
-        raise ArithmeticError(f"the twist product of (p, l, c, g) = {p, ctx.l, ctx.c, ctx.g} "
-                              "breaks a derivation relation")
-    k = np.arange(p - 1, dtype=np.int64)
-    w = np.append((CycModP(p, k * J.coeffs % p) * J.galois(p - 1)).coeffs, 0)
-    half = (p - 1) // 2
-    w = w[1:half + 1] + w[:half:-1]
-    powers = _powers(ctx.c, p - 1, p)
-    log = np.empty(p, dtype=np.int64)
-    log[powers] = np.arange(p - 1)
-    e = np.arange(2, p - 2, 2, dtype=np.int64)
-    moments = np.empty_like(e)
-    rows = max(1, _CHUNK // half)
-    for r in range(0, len(e), rows):
-        exps = e[r:r + rows, None] * log[1:half + 1]
-        exps -= exps // (p - 1) * (p - 1)
-        moments[r:r + rows] = powers[exps] @ w
-    return tuple((p - 1 - e[moments % p == 0])[::-1].tolist())
+    if p >= 1 << 21:
+        raise ValueError(f"p={p} is not below 2**21, the int64 bound of the moment products")
+    n = np.arange(2, p - 2, 2)
+    i, a = np.zeros_like(n), 2
+    while not i.all():
+        i[(i == 0) & (_powers(a, p - 2, p)[n] != 1)] = a - 1
+        a += 1
+    rows = sorted({1, *i.tolist()})
+    m = _moments(p, ctx.c, ctx.counts[np.subtract(rows, 1)])
+    ds = [d for d in (0, 1, 2, 4) if d <= p - 2]
+    for row, mi in zip(rows, m):
+        if mi[ds].tolist() != [int(d == 0) for d in ds]:
+            raise ArithmeticError(f"the Jacobi sum J_{row} of (p, l, c, g) = "
+                                  f"{p, ctx.l, ctx.c, ctx.g} breaks a derivation relation")
+    fact = np.array(list(accumulate(range(1, p), lambda x, k: x * k % p, initial=1)))
+    sign = (-1) ** np.arange(p - 2)
+    inv = -sign * fact[:1:-1]  # 1/j! = (-1)**(j+1) (p-1-j)!, Wilson
+    logs = np.array([np.convolve(mi[1:] * inv % p, sign * mi[:-1] * inv % p)[:p - 2] % p
+                     * fact[:p - 2] % p for mi in m])  # m_(e+1)(log J_i), by Leibniz
+    return tuple(n[logs[np.searchsorted(rows, i), p - n - 1] == 0].tolist())
 
 
 def exponent_set_for(p: int, l: int, c: int | None = None,

@@ -443,8 +443,8 @@ def _s_valuation(ctx: TwistContext, e: list[int]) -> int:
 def classify(ctx: TwistContext, n: int) -> SymbolReport:
     """Classify S_n as a pth power from the Jacobi sums at the primes above l.
 
-    exponent_set(ctx) runs first, so every call checks the derivation
-    relations of the counts.  P_k = (l, x - w**k) divides J_i where V_i(k)
+    exponent_set(ctx) runs first and checks the derivation relations of
+    the count rows it reads.  P_k = (l, x - w**k) divides J_i where V_i(k)
     = J_i(w**k) mod l of jacobi_values vanishes, and then once, so S_n has
     valuation v_k = sum_a e_a #{i : V_i(a*k) = 0} at P_k, e_a = a**(n-1)
     mod p, and l-content v = min_k v_k.  u is read at the first k with
@@ -463,7 +463,7 @@ def classify(ctx: TwistContext, n: int) -> SymbolReport:
     zero = V == 0
     v_k = np.full(p, -1, dtype=np.int64)
     # with a = c**x and k = c**u, the J_i(w**(a*k)) sit at x + u
-    v_k[cu] = _hankel(zero.sum(axis=0)[cu]) @ e[cu - 1]
+    v_k[cu] = _hankel(np.tile(zero.sum(axis=0)[cu], 2)) @ e[cu - 1]
     v = int(v_k[1:].min())
     b = r[1:] * int(np.argmax(v_k == v)) % p
     # a factor l divides enters as V_i(-b)**-e_a

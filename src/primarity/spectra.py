@@ -1,11 +1,12 @@
 """Linear spans of Jacobi-sum vectors and Gaussian period trace polynomials.
 
 Viewed as vectors over F_p, the twisted Jacobi sums of the split primes of
-p satisfy four universal relations (jacobi.derivation_check: augmentation
-1, and first, second and fourth moments zero), so their span cannot exceed
-p-4; rank_scan adds one coefficient vector per split prime until the rank
-is p-4.  The trace side factors p in the degree p subfield of Q(zeta_l): R_l
-is the characteristic polynomial of the Gaussian periods over F_p, and the
+p satisfy four universal relations, augmentation 1 and moments m_1 = m_2 =
+m_4 = 0, which jacobi.exponent_set checks on each J_i it reads and which
+pass to products by Leibniz's rule, so their span cannot exceed p-4;
+rank_scan adds one coefficient vector per split prime until the rank is
+p-4.  The trace side factors p in the degree p subfield of Q(zeta_l): R_l is
+the characteristic polynomial of the Gaussian periods over F_p, and the
 number of distinct R_l as l grows is the spectrum the heuristic speaks about.
 
 R_l is computed from the cyclotomic numbers N[d][m] = #{y in C_d : 1 + y

@@ -2,12 +2,19 @@
 
 Everything here is written the slow, obvious way on purpose: naive loops,
 dict-based discrete logs, exact rationals.  None of it shares code with
-the package.
+the package, except exponent_set_twist and derivation_check: the route
+that read exponent sets off the twist product in the package's ring, kept
+as the cross-check of the per-sum moments that replaced it.
 """
 
 import math
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
+
+from primarity.cycring import CycModP
+from primarity.jacobi import _CHUNK, TwistContext, _powers, twist_product
 
 
 def is_prime_naive(n: int) -> bool:
@@ -355,3 +362,43 @@ def heuristic_probability_exact(p: int) -> Fraction:
                 )
             tot += w * br
     return tot
+
+
+def derivation_check(p: int, J: CycModP) -> bool:
+    """Whether J has the relations of every twisted Jacobi sum, augmentation
+    m_0 = 1 and m_1 = m_2 = m_4 = 0, at each d <= p-2, where m_d is defined
+    mod Phi_p.  The moments are int64 dots of p-1 terms below p**2 each."""
+    k = np.arange(p - 1, dtype=np.int64)
+    k2 = k * k % p
+    cols = {0: np.ones_like(k), 1: k, 2: k2, 4: k2 * k2 % p}
+    return all(int(col @ J.coeffs) % p == int(d == 0) for d, col in cols.items() if d <= p - 2)
+
+
+def exponent_set_twist(ctx: TwistContext) -> tuple[int, ...]:
+    """Ascending even n in [2, p-3] with S_n = 1, that is with m_(p-n-1)(theta J / J) = 0,
+    read off the twist product J = J_1 ... J_(c-1).
+
+    The moments m_e, e = 2, 4, ..., p-3, are one product with k**e mod p,
+    gathered from the powers of c at log_c(k)*e mod p-1 in row blocks; as
+    e is even, k and p - k share a column.  Sums stay below p**3 < 2**63.
+    """
+    p = ctx.p
+    J = twist_product(ctx)
+    if not derivation_check(p, J):
+        raise ArithmeticError(f"the twist product of (p, l, c, g) = {p, ctx.l, ctx.c, ctx.g} "
+                              "breaks a derivation relation")
+    k = np.arange(p - 1, dtype=np.int64)
+    w = np.append((CycModP(p, k * J.coeffs % p) * J.galois(p - 1)).coeffs, 0)
+    half = (p - 1) // 2
+    w = w[1:half + 1] + w[:half:-1]
+    powers = _powers(ctx.c, p - 1, p)
+    log = np.empty(p, dtype=np.int64)
+    log[powers] = np.arange(p - 1)
+    e = np.arange(2, p - 2, 2, dtype=np.int64)
+    moments = np.empty_like(e)
+    rows = max(1, _CHUNK // half)
+    for r in range(0, len(e), rows):
+        exps = e[r:r + rows, None] * log[1:half + 1]
+        exps -= exps // (p - 1) * (p - 1)
+        moments[r:r + rows] = powers[exps] @ w
+    return tuple((p - 1 - e[moments % p == 0])[::-1].tolist())

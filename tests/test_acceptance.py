@@ -14,7 +14,6 @@ import pytest
 from primarity.bernoulli import b1_omega
 from primarity.jacobi import (
     TwistContext,
-    derivation_check,
     exponent_set,
     exponent_set_for,
     twist_product,
@@ -39,7 +38,7 @@ from _goldens import (
     TRACE5_CATALOG,
     TRACE7,
 )
-from oracles import bn_over_n_mod_p, component_naive, mul_mod_phi_naive
+from oracles import bn_over_n_mod_p, component_naive, derivation_check, mul_mod_phi_naive
 
 
 def test_criterion_01_first_split_prime_table():

@@ -408,10 +408,10 @@ def test_io_failure_exit_code(capsys):
 
 def test_self_check_failure_exit_code(capsys, monkeypatch):
     # an ArithmeticError is a fault of the program, reported as one line
-    monkeypatch.setattr(jacobi, "derivation_check", lambda p, J: False)
+    monkeypatch.setattr(jacobi, "_moments", lambda p, c, t: 0 * t[:, 1:])  # m_0 = 0, not 1
     rc, out, err = run(capsys, "expp", "--p", "37", "--l", "149")
     assert (rc, out) == (5, "")
-    assert err == ("error: the twist product of (p, l, c, g) = (37, 149, 2, 2) "
+    assert err == ("error: the Jacobi sum J_1 of (p, l, c, g) = (37, 149, 2, 2) "
                    "breaks a derivation relation\n")
 
 

@@ -12,7 +12,6 @@ from primarity import jacobi
 from primarity.cycring import CycModP
 from primarity.jacobi import (
     TwistContext,
-    derivation_check,
     exponent_set,
     exponent_set_for,
     jacobi_counts,
@@ -36,6 +35,8 @@ from oracles import (
     coset_root,
     cyclotomic_numbers_by_powers,
     cyclotomic_numbers_naive,
+    derivation_check,
+    exponent_set_twist,
     jacobi_charsum,
     jacobi_counts_from_cyclotomic,
     jacobi_norm_holds,
@@ -198,7 +199,7 @@ def test_cyclotomic_numbers_invariants_at_scan37_high_size():
 
 def test_build_and_exponent_set_stay_small_at_large_p():
     # no p x p table: the DFT reads a window of one row of 2(p-1) twiddles,
-    # and the moments gather k**e in row blocks
+    # and the moments one of 2(p-1) powers of c
     tracemalloc.start()
     try:
         exponent_set(TwistContext.build(1999, 19991))
@@ -364,26 +365,80 @@ def test_exponent_set_agrees_with_per_component_checks():
             assert direct == SCAN37_LOW[l], l
 
 
+def _rows_read(p):
+    """{1} and a - 1 for the least a >= 2 with a**n != 1, n even in [2, p-3]."""
+    return sorted({1} | {next(a for a in range(2, p) if pow(a, n, p) != 1) - 1
+                         for n in range(2, p - 2, 2)})
+
+
 @pytest.mark.parametrize("p", [37, 41, 67, 101])
 def test_exponent_set_makes_logarithmically_many_products(p, monkeypatch):
-    # c-2 products for the twist and one for theta J * sigma_-1(J), whose
-    # conjugate is the only Galois image; c = 6 at p = 41, 2 at the others
-    ctx = TwistContext.build(p, next(split_primes(p)))
-    products, conjugations = [], []
+    # no ring product and no Galois image: the moments of J_1 alone, and of
+    # J_2 at p = 41, where c = 6 and 2**20 = 1 (mod 41)
+    ctx = TwistContext.build(p, 3691 if p == 41 else next(split_primes(p)))
+    calls, read = [], []
+    moments = jacobi._moments
+
+    def spy(p, c, t):
+        read.extend(next(i for i in range(1, ctx.c) if (ctx.counts[i - 1] == row).all()) for row in t)
+        return moments(p, c, t)
+
     mul, galois = CycModP.__mul__, CycModP.galois
-
-    def counted_mul(self, other):
-        products.append(1)
-        return mul(self, other)
-
-    def counted_galois(self, a):
-        conjugations.append(a)
-        return galois(self, a)
-
-    monkeypatch.setattr(CycModP, "__mul__", counted_mul)
-    monkeypatch.setattr(CycModP, "galois", counted_galois)
+    monkeypatch.setattr(CycModP, "__mul__", lambda self, other: calls.append("mul") or mul(self, other))
+    monkeypatch.setattr(CycModP, "galois", lambda self, a: calls.append("galois") or galois(self, a))
+    monkeypatch.setattr(jacobi, "_moments", spy)
     exponent_set(ctx)
-    assert (len(products), conjugations) == ((ctx.c - 2) + 1, [p - 1])
+    assert (calls, read) == ([], _rows_read(p))
+    assert (ctx.c, read) == ((6, [1, 2]) if p == 41 else (2, [1]))
+
+
+# (p, l) -> Expp(l): the n in the set that J_1 cannot decide are 8 at 17,
+# 20 at 41 (c = 6) and 18 and 36 at 73, read off J_2, J_2 and J_4
+_TWIST_PAIRS = {(17, 2143): (8, 12), (41, 3691): (20,), (73, 9491): (16, 18, 36),
+                (1999, 19991): (690,), (4999, 19997): ()}
+
+
+def test_exponent_set_matches_the_twist_product_route():
+    for (p, l), want in _TWIST_PAIRS.items():
+        ctx = TwistContext.build(p, l)
+        assert exponent_set(ctx) == exponent_set_twist(ctx) == want, (p, l)
+    assert {n: _rows_read(p)[-1] for p, n in ((17, 8), (41, 20), (73, 36))} == {8: 2, 20: 2, 36: 4}
+    rng = random.Random(31)
+    for _ in range(40):
+        p = rng.choice((5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67))
+        l = rng.choice(list(split_primes(p, count=8)))
+        c = rng.choice([c for c in _primitive_roots(p) if c <= p - 2])
+        ctx = TwistContext.build(p, l, c=c, g=rng.choice(_primitive_roots(l)))
+        assert exponent_set(ctx) == exponent_set_twist(ctx), (p, l, ctx.c, ctx.g)
+
+
+def _log_moments(p, J):
+    """m_d(log J) = m_(d-1)(theta J * sigma_-1(J)) for d in [1, p-2], by plain sums."""
+    w = CycModP(p, [k * a for k, a in enumerate(J.coeffs.tolist())]) * J.galois(p - 1)
+    return _moments(p, w.coeffs.tolist(), range(p - 2))
+
+
+@pytest.mark.parametrize("p,l", [(11, 23), (17, 2143), (37, 149), (41, 3691), (73, 9491)])
+def test_log_moments_of_the_jacobi_sums_are_proportional(p, l):
+    # m_d(log J_i) = f_i(d) m_d(log(-G)), f_i(d) = 1 + i**d - (i+1)**d, for the
+    # Gauss sum G of chi; f_1(d) = 0 where 2**(d-1) = 1
+    ctx = TwistContext.build(p, l)
+    logs = {i: _log_moments(p, jacobi_sum(ctx, i)) for i in range(1, min(6, p - 1))}
+    for i, log in logs.items():
+        for d in range(3, p - 1, 2):
+            f_1, f_i = (1 + pow(k, d, p) - pow(k + 1, d, p) for k in (1, i))
+            assert (f_1 * log[d - 1] - f_i * logs[1][d - 1]) % p == 0, (i, d)
+
+
+def test_exponent_set_refuses_p_from_2_to_the_21():
+    # the moment products sum up to (p-1) * (p-1)**2 < p**3, inside int64
+    # below 2**21; no count is read, and no DFT of size 2097169 is run
+    p, l = 2097169, 37749043
+    assert is_prime(p) and is_prime(l) and l % p == 1
+    ctx = TwistContext(p=p, l=l, c=primitive_root(p), g=primitive_root(l),
+                       factorials=None, counts=None)
+    with pytest.raises(ValueError, match=r"^p=2097169 is not below 2\*\*21"):
+        exponent_set(ctx)
 
 
 def test_exponent_set_choice_independent():
@@ -455,15 +510,13 @@ def test_exponent_set_raises_without_the_self_mirrored_cell(p, l):
         exponent_set(dataclasses.replace(ctx, counts=counts))
 
 
-def test_exponent_set_raises_on_one_coefficient_faults(monkeypatch):
+def test_exponent_set_raises_on_one_coefficient_faults():
+    # each fault moves m_0 of one count row that exponent_set reads
     rng = random.Random(200)
-    product = jacobi.twist_product
     for _ in range(40):
-        p = rng.choice((5, 7, 11, 37, 157))
+        p = rng.choice((5, 7, 11, 37, 41, 157))
         ctx = TwistContext.build(p, rng.choice(list(split_primes(p, count=4))))
-        fault = np.zeros(p - 1, dtype=np.int64)
-        fault[rng.randrange(p - 1)] = rng.randrange(1, p)
-        monkeypatch.setattr(jacobi, "twist_product",
-                            lambda ctx: CycModP(ctx.p, product(ctx).coeffs + fault))
+        counts = ctx.counts.copy()
+        counts[rng.choice(_rows_read(p)) - 1, rng.randrange(p)] += rng.randrange(1, p)
         with pytest.raises(ArithmeticError, match="derivation relation"):
-            exponent_set(ctx)
+            exponent_set(dataclasses.replace(ctx, counts=counts))

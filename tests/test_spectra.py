@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from primarity.cycring import CycModP
-from primarity.jacobi import TwistContext, derivation_check, twist_product
+from primarity.jacobi import TwistContext, twist_product
 from primarity.modarith import split_primes
 from primarity.spectra import (
     RankAccumulator,
@@ -37,6 +37,7 @@ from _goldens import (
 )
 from oracles import (
     conjugate_rank_naive,
+    derivation_check,
     heuristic_probability_exact,
     rank_naive,
     residue_degree_naive,
