@@ -29,7 +29,7 @@ sigma_i(-G) (-G) / sigma_(i+1)(-G) for the Gauss sum G of chi (Ireland-Rosen,
 ch. 14), m_d(log J_i) = f_i(d) m_d(log(-G)) with f_i(d) = 1 + i**d - (i+1)**d,
 and the twist's factor c - c**d is never 0 at odd d <= p-2.  So J_i decides
 n for i = a - 1, a the least a >= 2 with a**n != 1: f_i(p-n) = a (1 - a**-n)
-!= 0, and i < c.  theta = x d/dx is a derivation with m_d(theta v) =
+!= 0.  theta = x d/dx is a derivation with m_d(theta v) =
 m_(d+1)(v), and sigma_-1(J_i) inverts J_i mod Phi_p, so by Leibniz's rule
 
     m_(e+1)(log J_i) = m_e(theta J_i * sigma_-1(J_i)) = e! sum_j a_j b_(e-j)
@@ -181,8 +181,8 @@ def _dot_mod(x: np.ndarray, y: np.ndarray, l: int) -> np.ndarray:
     return S
 
 
-def _counts(p: int, l: int, c: int, g: int, F: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Rows t_i, i in indices, of the counts of J_i from the factorials F, read-only.
+def _counts(ctx: TwistContext, indices) -> np.ndarray:
+    """Rows t_i, i in indices, of the counts of J_i from the factorials, read-only.
 
     With b = c**u and e = c**v, h**(-b*e) is entry u + v of one doubled
     row, so the DFT of the values J_i(h**b) = -sum_e t_i[e] h**(b*e) is one
@@ -190,9 +190,10 @@ def _counts(p: int, l: int, c: int, g: int, F: np.ndarray, indices: np.ndarray) 
     l - 2 less the rest; were it negative, the counts would not sum to
     l - 2, and ArithmeticError is raised.
     """
+    p, l, c, g = ctx.p, ctx.l, ctx.c, ctx.g
     b = _powers(c, p - 1, p)
     window = _hankel(np.tile(_powers(pow(g, (l - 1) // p, l), p, l)[p - b], 2))
-    B = jacobi_values(p, l, F, indices[:, None], b) * pow(p, -1, l) % l
+    B = jacobi_values(p, l, ctx.factorials, np.array(indices)[:, None], b) * pow(p, -1, l) % l
     t = np.empty((len(B), p), dtype=np.int64)
     t[:, b] = ((l - 2) * pow(p, -1, l) - _dot_mod(B, window, l)) % l
     t[:, 0] = l - 2 - t[:, 1:].sum(axis=1)
@@ -237,24 +238,19 @@ class TwistContext:
     c: int
     g: int
     factorials: np.ndarray  # _factorials(p, l)
-    counts: np.ndarray  # row i-1 holds jacobi_counts(ctx, i), i in [1, c-1]
 
     @classmethod
     def build(cls, p: int, l: int, c: int | None = None, g: int | None = None) -> "TwistContext":
-        """Validate the pair, then find its factorials and the counts of J_1 .. J_(c-1)."""
+        """Validate the pair, then find its factorials."""
         p, l, c, g = pair_key(p, l, c, g)
-        F = _factorials(p, l)
-        return cls(p=p, l=l, c=c, g=g, factorials=F, counts=_counts(p, l, c, g, F, np.arange(1, c)))
+        return cls(p=p, l=l, c=c, g=g, factorials=_factorials(p, l))
 
 
 def jacobi_counts(ctx: TwistContext, i: int) -> np.ndarray:
-    """Exact counts t with J_i = -sum_e t[e] x**e, e in [0, p): held for i < c, else one DFT."""
-    p = ctx.p
-    if not 1 <= i <= p - 2:
-        raise ValueError(f"i={i} out of range [1, {p - 2}]")
-    if i < ctx.c:
-        return ctx.counts[i - 1]
-    return _counts(p, ctx.l, ctx.c, ctx.g, ctx.factorials, np.array([i]))[0]
+    """Exact counts t with J_i = -sum_e t[e] x**e, e in [0, p)."""
+    if not 1 <= i <= ctx.p - 2:
+        raise ValueError(f"i={i} out of range [1, {ctx.p - 2}]")
+    return _counts(ctx, [i])[0]
 
 
 def jacobi_sum(ctx: TwistContext, i: int) -> CycModP:
@@ -264,9 +260,9 @@ def jacobi_sum(ctx: TwistContext, i: int) -> CycModP:
 
 def twist_product(ctx: TwistContext) -> CycModP:
     """J = J_1 * ... * J_(c-1), the twisted Jacobi-sum product."""
-    J = jacobi_sum(ctx, 1)
-    for i in range(2, ctx.c):
-        J = J * jacobi_sum(ctx, i)
+    J, *rest = (CycModP(ctx.p, -t) for t in _counts(ctx, range(1, ctx.c)))
+    for Ji in rest:
+        J = J * Ji
     return J
 
 
@@ -300,7 +296,7 @@ def exponent_set(ctx: TwistContext) -> tuple[int, ...]:
         i[(i == 0) & (_powers(a, p - 2, p)[n] != 1)] = a - 1
         a += 1
     rows = sorted({1, *i.tolist()})
-    m = _moments(p, ctx.c, ctx.counts[np.subtract(rows, 1)])
+    m = _moments(p, ctx.c, _counts(ctx, rows))
     ds = [d for d in (0, 1, 2, 4) if d <= p - 2]
     for row, mi in zip(rows, m):
         if mi[ds].tolist() != [int(d == 0) for d in ds]:

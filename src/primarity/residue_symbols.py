@@ -54,8 +54,8 @@ from operator import attrgetter
 
 import numpy as np
 
-from .jacobi import (TwistContext, _hankel, _powers, check_exponent, exponent_set, jacobi_counts,
-                     jacobi_values, pair_key)
+from .jacobi import (TwistContext, _counts, _hankel, _powers, check_exponent, exponent_set,
+                     jacobi_counts, jacobi_values, pair_key)
 from .modarith import factorize, is_prime, primitive_root
 from .records import JsonlStore
 
@@ -215,7 +215,7 @@ def exact_twist_component(ctx: TwistContext, n: int) -> CycBigInt:
         raise MemoryError(f"the primes q = 1 (mod {2 * p}) below 2**{_MODULUS_CAP.bit_length() - 1}"
                           f" run out before their product carries the coefficients"
                           f" for p={p}, l={l}")
-    counts = np.stack([jacobi_counts(ctx, i) for i in range(1, ctx.c)], axis=1)
+    counts = _counts(ctx, range(1, ctx.c)).T
     r = np.arange(p)
     at_root = r[:, None] * r % p  # J_i(w**b) = -sum_e t_i[e] w**(b*e)
     pick = e[:, None] * p + r[1:] * r[1:, None] % p  # S(w**j) takes J(w**(j*a))**e_a
@@ -402,8 +402,8 @@ def _component_mod(ctx: TwistContext, e: list[int], q: int) -> np.ndarray:
     one = np.zeros(p, dtype=dtype)
     one[0] = 1
     J = one
-    for i in range(1, ctx.c):
-        J = mul(J, -jacobi_counts(ctx, i).astype(dtype) % q)
+    for t in _counts(ctx, range(1, ctx.c)):
+        J = mul(J, -t.astype(dtype) % q)
     by_power = [[] for _ in range(p)]
     for a, ea in zip(range(1, p), e):
         by_power[ea].append(a)

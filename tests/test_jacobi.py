@@ -1,6 +1,5 @@
 """Jacobi sums, twist products, components, exponent sets."""
 
-import dataclasses
 import itertools
 import random
 import tracemalloc
@@ -26,7 +25,7 @@ from primarity.modarith import (
     primitive_root,
     split_primes,
 )
-from primarity.residue_symbols import exact_jacobi_sum, exact_twist_component
+from primarity.residue_symbols import classify, exact_jacobi_sum, exact_twist_component
 
 from _goldens import SCAN37_LOW
 from oracles import (
@@ -132,7 +131,7 @@ def test_cyclotomic_kernel_matches_oracles():
             assert got.tolist() == cyclotomic_numbers_by_powers(p, l, coset_root(p, l)), (p, l)
             assert _relabel(got, p, l, ctx.g).tolist() == N, (p, l)
         for i in range(1, ctx.c):
-            assert ctx.counts[i - 1].tolist() == jacobi_counts_from_cyclotomic(N, p, i), (p, l, g)
+            assert jacobi_counts(ctx, i).tolist() == jacobi_counts_from_cyclotomic(N, p, i), (p, l, g)
         for i in rng.sample(range(1, p - 1), min(3, p - 2)):
             want = jacobi_charsum(p, l, ctx.g, i)
             assert exact_jacobi_sum(ctx, i).coeffs == want, (p, l, g, i)
@@ -152,11 +151,11 @@ def test_twist_context_build_allocates_nothing_that_grows_with_l():
 
 
 def test_jacobi_counts_every_index_matches_character_sums():
-    # every i in [1, p-2], the c - 1 of the context and the DFTs of the
-    # others, at pairs with p**2 > l: (151, 907) has c = 6 > 2, and
-    # (257, 1543) has c = 3.  The oracle folds z**(p-1) away, which
-    # leaves the counts up to a constant; their total, l - 2 terms
-    # y != 0, 1, pins it, and the exact kernel of residue_symbols relies on it.
+    # every i in [1, p-2], below c and past it, at pairs with p**2 > l:
+    # (151, 907) has c = 6 > 2, and (257, 1543) has c = 3.  The oracle
+    # folds z**(p-1) away, which leaves the counts up to a constant; their
+    # total, l - 2 terms y != 0, 1, pins it, and the exact kernel of
+    # residue_symbols relies on it.
     for p, l, c in ((151, 907, 6), (257, 1543, 3)):
         ctx = TwistContext.build(p, l)
         assert ctx.c == c
@@ -264,11 +263,12 @@ def test_mulmod_is_exact_at_the_largest_prime_below_the_cap():
         assert v == int(v) and (a * b - int(v)) % l == 0 and abs(v) <= l / 2 + 1, (a, b)
 
 
-@pytest.mark.parametrize("p,l", [(37, 149), (37, 742073), (997, 3989)])
+@pytest.mark.parametrize("p,l", [(37, 149), (37, 742073), (41, 3691), (997, 3989)])
 def test_build_raises_on_a_wrong_factorial_block(p, l, monkeypatch):
     # a wrong block product spoils the factorials on both sides of Wilson's
     # reflection, so the DFT returns residues, not counts, which sum to
-    # l - 2 with odds of about 1/(p-1)!: negligible at p >= 37
+    # l - 2 with odds of about 1/(p-1)!: negligible at p >= 37.  The build
+    # reads no counts; every reader of a count row trips the check
     blocks = jacobi._block_products
     K = (p - 1) // 2
     for k in sorted({0, 1, K // 2, K - 1}):
@@ -277,8 +277,12 @@ def test_build_raises_on_a_wrong_factorial_block(p, l, monkeypatch):
             out[k] = out[k] * 2 % l
             return out
         monkeypatch.setattr(jacobi, "_block_products", wrong)
-        with pytest.raises(ArithmeticError, match="do not sum to l - 2"):
-            TwistContext.build(p, l)
+        ctx = TwistContext.build(p, l)
+        readers = [exponent_set, twist_product, lambda ctx: classify(ctx, 2)]
+        readers += [lambda ctx, i=i: jacobi_counts(ctx, i) for i in range(1, p - 1)]
+        for read in readers:
+            with pytest.raises(ArithmeticError, match="do not sum to l - 2"):
+                read(ctx)
 
 
 def test_dot_mod_matches_python_integers_past_one_int64_block():
@@ -297,7 +301,7 @@ def test_dot_mod_matches_python_integers_past_one_int64_block():
 
 def test_jacobi_norm_at_the_int64_edge_of_the_dft():
     # p * l**2 > 2**63 at (4999, 42981403), so the DFT sums its terms in two
-    # blocks; |J_i|**2 = l for the counts of the context and of other i
+    # blocks; |J_i|**2 = l for i below c and past it
     p, l = 4999, 42981403
     assert p * l * l > 2**63
     ctx = TwistContext.build(p, l)
@@ -377,19 +381,39 @@ def test_exponent_set_makes_logarithmically_many_products(p, monkeypatch):
     # J_2 at p = 41, where c = 6 and 2**20 = 1 (mod 41)
     ctx = TwistContext.build(p, 3691 if p == 41 else next(split_primes(p)))
     calls, read = [], []
-    moments = jacobi._moments
+    counts = jacobi._counts
 
-    def spy(p, c, t):
-        read.extend(next(i for i in range(1, ctx.c) if (ctx.counts[i - 1] == row).all()) for row in t)
-        return moments(p, c, t)
+    def spy(ctx, indices):
+        read.append(list(indices))
+        return counts(ctx, indices)
 
     mul, galois = CycModP.__mul__, CycModP.galois
     monkeypatch.setattr(CycModP, "__mul__", lambda self, other: calls.append("mul") or mul(self, other))
     monkeypatch.setattr(CycModP, "galois", lambda self, a: calls.append("galois") or galois(self, a))
-    monkeypatch.setattr(jacobi, "_moments", spy)
+    monkeypatch.setattr(jacobi, "_counts", spy)
     exponent_set(ctx)
-    assert (calls, read) == ([], _rows_read(p))
-    assert (ctx.c, read) == ((6, [1, 2]) if p == 41 else (2, [1]))
+    assert (calls, read) == ([], [_rows_read(p)])
+    assert (ctx.c, read) == ((6, [[1, 2]]) if p == 41 else (2, [[1]]))
+
+
+def test_twist_product_reads_its_rows_in_one_call(monkeypatch):
+    # p = 71 has c = 7: one DFT of the rows 1 .. 6, and none in the build
+    read = []
+    counts = jacobi._counts
+
+    def spy(ctx, indices):
+        read.append(list(indices))
+        return counts(ctx, indices)
+
+    monkeypatch.setattr(jacobi, "_counts", spy)
+    ctx = TwistContext.build(71, next(split_primes(71)))
+    assert (ctx.c, read) == (7, [])
+    J = twist_product(ctx)
+    assert read == [[1, 2, 3, 4, 5, 6]]
+    want = jacobi_sum(ctx, 1)
+    for i in range(2, 7):
+        want = want * jacobi_sum(ctx, i)
+    assert J == want
 
 
 # (p, l) -> Expp(l): the n in the set that J_1 cannot decide are 8 at 17,
@@ -430,13 +454,17 @@ def test_log_moments_of_the_jacobi_sums_are_proportional(p, l):
             assert (f_1 * log[d - 1] - f_i * logs[1][d - 1]) % p == 0, (i, d)
 
 
-def test_exponent_set_refuses_p_from_2_to_the_21():
+def test_exponent_set_refuses_p_from_2_to_the_21(monkeypatch):
     # the moment products sum up to (p-1) * (p-1)**2 < p**3, inside int64
     # below 2**21; no count is read, and no DFT of size 2097169 is run
     p, l = 2097169, 37749043
     assert is_prime(p) and is_prime(l) and l % p == 1
-    ctx = TwistContext(p=p, l=l, c=primitive_root(p), g=primitive_root(l),
-                       factorials=None, counts=None)
+
+    def no_dft(*args):
+        raise AssertionError("a count row was computed")
+
+    monkeypatch.setattr(jacobi, "_counts", no_dft)
+    ctx = TwistContext.build(p, l)
     with pytest.raises(ValueError, match=r"^p=2097169 is not below 2\*\*21"):
         exponent_set(ctx)
 
@@ -500,23 +528,31 @@ def test_derivation_check_trips_on_each_relation(p, l):
 
 
 @pytest.mark.parametrize("p,l", [(3, 7), (5, 11), (37, 149), (37, 4219), (997, 3989)])
-def test_exponent_set_raises_without_the_self_mirrored_cell(p, l):
+def test_exponent_set_raises_without_the_self_mirrored_cell(p, l, monkeypatch):
     ctx = TwistContext.build(p, l)
     ind_h = build_log_table(l, ctx.g).dlog[(l - 1) // 2] % p
-    N = _relabel(jacobi._cyclotomic_numbers(p, l), p, l, ctx.g)
-    N[ind_h, ind_h] -= 1
-    counts = np.array([jacobi_counts_from_cyclotomic(N.tolist(), p, i) for i in range(1, ctx.c)])
+    N = _relabel(jacobi._cyclotomic_numbers(p, l), p, l, ctx.g).tolist()
+    N[ind_h][ind_h] -= 1
+    monkeypatch.setattr(jacobi, "_counts", lambda ctx, indices: np.array(
+        [jacobi_counts_from_cyclotomic(N, p, i) for i in indices]))
     with pytest.raises(ArithmeticError, match="derivation relation"):
-        exponent_set(dataclasses.replace(ctx, counts=counts))
+        exponent_set(ctx)
 
 
-def test_exponent_set_raises_on_one_coefficient_faults():
+def test_exponent_set_raises_on_one_coefficient_faults(monkeypatch):
     # each fault moves m_0 of one count row that exponent_set reads
     rng = random.Random(200)
+    counts = jacobi._counts
     for _ in range(40):
         p = rng.choice((5, 7, 11, 37, 41, 157))
         ctx = TwistContext.build(p, rng.choice(list(split_primes(p, count=4))))
-        counts = ctx.counts.copy()
-        counts[rng.choice(_rows_read(p)) - 1, rng.randrange(p)] += rng.randrange(1, p)
+        row, k, shift = rng.choice(_rows_read(p)), rng.randrange(p), rng.randrange(1, p)
+
+        def faulty(ctx, indices, row=row, k=k, shift=shift):
+            t = counts(ctx, indices).copy()
+            t[list(indices).index(row), k] += shift
+            return t
+
+        monkeypatch.setattr(jacobi, "_counts", faulty)
         with pytest.raises(ArithmeticError, match="derivation relation"):
-            exponent_set(dataclasses.replace(ctx, counts=counts))
+            exponent_set(ctx)

@@ -84,7 +84,7 @@ def test_component_memory_guard_raises_before_any_work(monkeypatch):
         raise AssertionError("work started before the guard")
 
     with monkeypatch.context() as m:
-        m.setattr(residue_symbols, "jacobi_counts", no_work)
+        m.setattr(residue_symbols, "_counts", no_work)
         m.setattr(residue_symbols, "_moduli", no_work)
         m.setattr(residue_symbols, "MEMORY_LIMIT", 32)
         with pytest.raises(MemoryError, match="exceed the 32 byte budget for p=11"):
@@ -623,15 +623,18 @@ def test_s_raises_once_p_to_the_k_passes_the_height_bound(monkeypatch):
 
 def test_a_shifted_count_fails_the_self_check(monkeypatch, capsys):
     # one count of J_1 moves from x to x**2; the counts still sum to l - 2
-    ctx = TwistContext.build(37, 149)
-    t = ctx.counts.copy()
-    t[0, 1] -= 1
-    t[0, 2] += 1
-    t.setflags(write=False)
-    shifted = dataclasses.replace(ctx, counts=t)
+    counts = jacobi._counts
+
+    def shifted(ctx, indices):
+        t = counts(ctx, indices).copy()
+        if 1 in indices:
+            t[list(indices).index(1), 1:3] += [-1, 1]
+        t.setflags(write=False)
+        return t
+
+    monkeypatch.setattr(jacobi, "_counts", shifted)
     with pytest.raises(ArithmeticError, match="breaks a derivation relation"):
-        classify(shifted, 32)
-    monkeypatch.setattr(TwistContext, "build", lambda *args, **kwargs: shifted)
+        classify(TwistContext.build(37, 149), 32)
     rc = main(["symbol", "--p", "37", "--n", "32", "--l", "149"])
     out = capsys.readouterr()
     assert rc == 5 and out.out == ""
@@ -640,10 +643,9 @@ def test_a_shifted_count_fails_the_self_check(monkeypatch, capsys):
 
 @pytest.mark.parametrize("p,l,n", [(37, 149, 32), (43, 173, 12)])
 def test_a_factorial_fault_raises_or_leaves_the_report(p, l, n):
-    # F[k] -> F[k] + 1 for each k, with the counts rebuilt from the faulty F:
-    # classify reads v and u off F, and the self-checks read the counts built
-    # from the same F, so a fault trips the count sum or a derivation
-    # relation, or leaves the report as it was
+    # F[k] -> F[k] + 1 for each k: classify reads v and u off F, and the
+    # self-checks read the counts built from the same F, so a fault trips
+    # the count sum or a derivation relation, or leaves the report as it was
     ctx = TwistContext.build(p, l)
     want = classify(ctx, n)
     raised = 0
@@ -652,8 +654,7 @@ def test_a_factorial_fault_raises_or_leaves_the_report(p, l, n):
         F[k] += 1
         F.setflags(write=False)
         try:
-            t = jacobi._counts(p, l, ctx.c, ctx.g, F, np.arange(1, ctx.c))
-            got = classify(dataclasses.replace(ctx, factorials=F, counts=t), n)
+            got = classify(dataclasses.replace(ctx, factorials=F), n)
         except ArithmeticError:
             raised += 1
         else:
