@@ -22,17 +22,13 @@ The exact route rebuilds a component with integer coefficients over the
 full range a = 1 .. p-1, splits off its l-content and evaluates the
 reduced element at a root of Phi_p mod l.  Nothing in classify calls it:
 it is the independent route the tests check classify against, and the
-benchmark's symbol37 workload builds its norm inputs with it.  Modulo a
-prime q = 1 (mod 2p), Phi_p splits into p-1 linear factors, one per root
-w of order p, so S_n(w) is a product of p-1 values J(w**a)**(a**(n-1) mod
-p) in F_q, taken for a chunk of word-size primes at once in int64 numpy.
-The coefficients come back by interpolation at the p-1 roots and one CRT.
-How many primes that takes follows from an exact height bound: every J_i
-has absolute value sqrt(l) in every complex embedding, so each
-coefficient of S_n lies below 2 * l**(e/2), e = (c-1) * sum_a (a**(n-1)
-mod p).  The same bound sizes the coefficients before any work, and
-components above the fixed budget MEMORY_LIMIT (1 GiB of coefficients)
-are refused.
+benchmark's symbol37 workload builds its norm inputs with it.  It
+multiplies out the defining product in Z[x]/Phi_p with exact integer
+coefficients.  Every J_i has absolute value sqrt(l) in every complex
+embedding, so each coefficient of S_n lies below 2 * l**(e/2), e = (c-1)
+* sum_a (a**(n-1) mod p).  That bound sizes the coefficients before any
+work, and components above the fixed budget MEMORY_LIMIT (1 GiB of
+coefficients) are refused.
 
 The norm of the reduced component is a signed power of l.  It is computed
 exactly inside Z[x]/Phi_p, down the tower of subfields of the cyclic
@@ -49,19 +45,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import attrgetter
 
 import numpy as np
 
 from .jacobi import (TwistContext, _counts, _hankel, _powers, check_exponent, exponent_set,
                      jacobi_counts, jacobi_values, pair_key)
-from .modarith import factorize, is_prime, primitive_root
+from .modarith import factorize, primitive_root
 from .records import JsonlStore
 
 MEMORY_LIMIT = 1 << 30  # bytes of coefficient storage
-_MODULUS_CAP = 1 << 28  # products of two residues stay below 2**56
-_CHUNK = 16  # moduli per numpy pass: (16, p, p) int64 is 175 KB at p = 37
 
 
 class CycBigInt:
@@ -123,139 +116,37 @@ def exact_jacobi_sum(ctx: TwistContext, i: int) -> CycBigInt:
     return CycBigInt(ctx.p, [-int(t) for t in jacobi_counts(ctx, i)])
 
 
-@lru_cache(maxsize=256)
-def _moduli(p: int, chunk: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-    """Chunk number chunk of the primes q = 1 (mod 2p) below 2**28, descending.
-
-    Holds _CHUNK primes, fewer once they run out, with powers[i, t] = w**t
-    mod q_i, t < p, for a root w of order p mod q_i, and p**-1 mod q_i.
-    """
-    if chunk == 0:
-        q = (_MODULUS_CAP - 2) // (2 * p) * (2 * p) + 1
-    else:
-        before = _moduli(p, chunk - 1)[0]
-        q = before[-1] - 2 * p if len(before) == _CHUNK else 0
-    qs, roots = [], []
-    while len(qs) < _CHUNK and q > 2 * p:
-        if is_prime(q):
-            h = 2
-            while (w := pow(h, (q - 1) // p, q)) == 1:
-                h += 1
-            qs.append(q)
-            roots.append(w)
-        q -= 2 * p
-    col, roots = np.array(qs, dtype=np.int64), np.array(roots, dtype=np.int64)
-    powers = np.ones((len(qs), p), dtype=np.int64)
-    for t in range(1, p):
-        powers[:, t] = powers[:, t - 1] * roots % col
-    inv_p = np.array([pow(p, -1, q) for q in qs], dtype=np.int64)
-    powers.setflags(write=False)
-    inv_p.setflags(write=False)
-    return tuple(qs), powers, inv_p
-
-
-def _moduli_above(p: int, bound: int) -> list | None:
-    """The fewest leading moduli, chunk by chunk, whose product M has M**2 > bound.
-
-    None when the primes below 2**28 run out first.
-    """
-    chunks, square = [], 1
-    while square <= bound:
-        qs, powers, inv_p = _moduli(p, len(chunks))
-        if not qs:
-            return None
-        count = 0
-        while count < len(qs) and square <= bound:
-            square *= qs[count] ** 2
-            count += 1
-        chunks.append((qs[:count], powers[:count], inv_p[:count]))
-    return chunks
-
-
-def _crt_signed(residues: np.ndarray, qs: tuple[int, ...]) -> list[int]:
-    """x_k = residues[i, k] (mod qs[i]) for all i, with |x_k| < M/2, M = prod qs.
-
-    x_k = sum_i y_ik M/q_i with y_ik = residues[i, k] (M/q_i)**-1 mod q_i.
-    The sum is built up a product tree: the node over the moduli of two
-    children with products Q_a, Q_b holds V_a Q_b + V_b Q_a.
-    """
-    M = math.prod(qs)
-    weight = np.array([pow(M // q % q, -1, q) for q in qs], dtype=np.int64)[:, None]
-    q = np.array(qs, dtype=np.int64)[:, None]
-    nodes = list(zip((residues * weight % q).tolist(), qs))
-    while len(nodes) > 1:
-        pairs = [([a * qb + b * qa for a, b in zip(va, vb)], qa * qb)
-                 for (va, qa), (vb, qb) in zip(nodes[::2], nodes[1::2])]
-        nodes = pairs + nodes[2 * len(pairs):]
-    half = M // 2  # M is odd
-    return [(v + half) % M - half for v in nodes[0][0]]
-
-
 def exact_twist_component(ctx: TwistContext, n: int) -> CycBigInt:
     """S_n = prod_{a=1}^{p-1} sigma_a(J**(a**(n-1) mod p)), exactly.
 
     The full range a = 1 .. p-1 is deliberate: it makes S_n the square of
-    the mod-p convention and keeps the norm a clean power of l.  Raises
-    MemoryError before any work when the height bound allows coefficients
-    of more than MEMORY_LIMIT bytes, and MemoryError naming the moduli when
-    the primes q = 1 (mod 2p) below 2**28 are too few to carry them.
+    the mod-p convention and keeps the norm a clean power of l.  J is the
+    product of J_1 .. J_(c-1), its powers J**t come by repeated products,
+    and each a adds one product by sigma_a(J**e_a).  Raises MemoryError
+    before any work when the height bound allows coefficients of more than
+    MEMORY_LIMIT bytes.
     """
     p, l = ctx.p, ctx.l
     check_exponent(p, n)
-    e = np.array([pow(a, n - 1, p) for a in range(1, p)], dtype=np.int64)
+    e = [pow(a, n - 1, p) for a in range(1, p)]
     # |tau(J_i)| = sqrt(l) for every embedding tau, as chi**i, chi and
     # chi**(i+1) are nontrivial for i <= c-1 <= p-3; so |tau(S_n)| = B with
-    # B**2 = l**height, and T_k below gives |coefficient| < 2B
-    height = (ctx.c - 1) * int(e.sum())
+    # B**2 = l**height, and as the p-1 embeddings of S_n are its values at
+    # the roots of Phi_p, inverting that DFT gives |coefficient| < 2B
+    height = (ctx.c - 1) * sum(e)
     bits = (height * l.bit_length() + 1) // 2 + 1  # bits of 2B, rounded up
     if (p - 1) * bits // 8 > MEMORY_LIMIT:
         raise MemoryError(f"coefficients exceed the {MEMORY_LIMIT} byte budget for p={p}")
-    chunks = _moduli_above(p, 16 * l**height)  # M > 4B recovers signs
-    if chunks is None:
-        raise MemoryError(f"the primes q = 1 (mod {2 * p}) below 2**{_MODULUS_CAP.bit_length() - 1}"
-                          f" run out before their product carries the coefficients"
-                          f" for p={p}, l={l}")
-    counts = _counts(ctx, range(1, ctx.c)).T
-    r = np.arange(p)
-    at_root = r[:, None] * r % p  # J_i(w**b) = -sum_e t_i[e] w**(b*e)
-    pick = e[:, None] * p + r[1:] * r[1:, None] % p  # S(w**j) takes J(w**(j*a))**e_a
-    inverse = -r[:, None] * r[1:] % p  # T_k = sum_j S(w**j) w**(-j*k)
-    residues = []
-    for qs, w, inv_p in chunks:
-        # every product below is of two residues below 2**28
-        q = np.array(qs, dtype=np.int64)[:, None]
-        qq = q[:, :, None]
-        # the counts of each J_i sum to l - 2 < 2**26, the log-table cap,
-        # so these sums of counts times powers of w stay below 2**54
-        sums = -(w[:, at_root] @ counts) % qq
-        J = sums[:, :, 0]
-        for i in range(1, ctx.c - 1):
-            J = J * sums[:, :, i] % q
-        # table[:, t, b] = J(w**b)**t for t < p, by doubling
-        table = np.ones((len(qs), p, p), dtype=np.int64)
-        table[:, 1] = J
-        t = 2
-        while t < p:
-            h = min(t, p - t)
-            table[:, t : t + h] = table[:, :h] * (table[:, t - 1] * J % q)[:, None] % qq
-            t += h
-        # S(w**j) for j = 1 .. p-1: gather the p-1 factors, multiply pairwise
-        f = table.reshape(len(qs), p * p)[:, pick]
-        while f.shape[1] > 1:
-            h = f.shape[1] // 2
-            top = f[:, :h] * f[:, h : 2 * h] % qq
-            if f.shape[1] % 2:
-                top[:, 0] = top[:, 0] * f[:, -1] % q
-            f = top
-        S = f[:, 0]
-        # T_k = p s_k - sum(s) for k < p-1 and T_(p-1) = -sum(s); S is split
-        # into 14-bit halves so each of the p-1 terms of a sum is below 2**42
-        dft = w[:, inverse]
-        T = dft @ (S >> 14)[:, :, None] % qq * (1 << 14) + dft @ (S & 0x3FFF)[:, :, None]
-        T = T[:, :, 0] % q
-        residues.append((T[:, :-1] - T[:, -1:]) * inv_p[:, None] % q)
-    qs = sum((chunk[0] for chunk in chunks), ())
-    return CycBigInt(p, _crt_signed(np.concatenate(residues), qs))
+    J, *rest = [CycBigInt(p, (-t).tolist()) for t in _counts(ctx, range(1, ctx.c))]
+    for J_i in rest:
+        J = J.mul(J_i)
+    powers = [None, J]  # J**t at t; e_a >= 1
+    while len(powers) <= max(e):
+        powers.append(powers[-1].mul(J))
+    S = J  # e_1 = 1 and sigma_1 is the identity
+    for a in range(2, p):
+        S = S.mul(powers[e[a - 1]].galois(a))
+    return S
 
 
 def _valuation(n: int, q: int) -> int:

@@ -3,7 +3,6 @@
 import dataclasses
 import functools
 import json
-import math
 import random
 
 import numpy as np
@@ -85,29 +84,10 @@ def test_component_memory_guard_raises_before_any_work(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(residue_symbols, "_counts", no_work)
-        m.setattr(residue_symbols, "_moduli", no_work)
         m.setattr(residue_symbols, "MEMORY_LIMIT", 32)
         with pytest.raises(MemoryError, match="exceed the 32 byte budget for p=11"):
             exact_twist_component(ctx, 2)
     assert exact_twist_component(ctx, 2).coeffs == ALPHA11_COEFFS
-
-
-def test_component_raises_when_the_moduli_run_out(monkeypatch):
-    # primes q = 1 (mod 2p) below 2**6: 23 alone for p = 11, too few; for
-    # p = 5 just enough in 61, 41, 31 and q = l = 11, where J_1 vanishes
-    # at a root of order 5
-    monkeypatch.setattr(residue_symbols, "_MODULUS_CAP", 1 << 6)
-    residue_symbols._moduli.cache_clear()
-    try:
-        with pytest.raises(MemoryError, match=r"^the primes q = 1 \(mod 22\) below 2\*\*6 run out"
-                                              r" .* for p=11, l=23$"):
-            exact_twist_component(TwistContext.build(11, 23), 2)
-        ctx = TwistContext.build(5, 11)
-        assert residue_symbols._moduli_above(5, 16 * 11**_height(5, 2, 2))[0][0] == (61, 41, 31, 11)
-        J = _exact_twist_naive(ctx)
-        assert exact_twist_component(ctx, 2).coeffs == component_exact_naive(5, J, 2)
-    finally:
-        residue_symbols._moduli.cache_clear()
 
 
 def test_exact_jacobi_sum_matches_character_sum_oracle():
@@ -132,10 +112,9 @@ def test_exact_twist_product_reduces_to_mod_p_twist():
 
 
 def test_exact_component_matches_the_defining_product():
-    # seeded (p, l, n, c, g) with p <= 23; the moduli of some cases fill
-    # more than one chunk and end partway through the last
+    # the least split pair (5, 11), then seeded (p, l, n, c, g) with p <= 23
     rng = random.Random(607)
-    cases = [(11, 67, 2, 8, 18), (13, 79, 6, 6, 39)]
+    cases = [(5, 11, 2, 2, 2), (11, 67, 2, 8, 18), (13, 79, 6, 6, 39)]
     for p in (5, 7, 11, 13, 17, 19, 23):
         ls = [l for _, l in zip(range(4), split_primes(p))]
         for _ in range(2):
@@ -143,14 +122,10 @@ def test_exact_component_matches_the_defining_product():
             cs = [c for c in _primitive_roots(p) if c <= min(p - 2, 7)]
             cases.append((p, l, rng.randrange(2, p - 2, 2), rng.choice(cs),
                           rng.choice(_primitive_roots(l))))
-    partial = 0
     for p, l, n, c, g in cases:
         ctx = TwistContext.build(p, l, c=c, g=g)
         want = component_exact_naive(p, _exact_twist_naive(ctx), n)
         assert exact_twist_component(ctx, n).coeffs == want, (p, l, n, c, g)
-        chunks = residue_symbols._moduli_above(p, 16 * l ** _height(p, n, c))
-        partial += len(chunks) > 1 and len(chunks[-1][0]) < residue_symbols._CHUNK
-    assert partial
     assert any(c > 2 for _, _, _, c, _ in cases)
 
 
@@ -169,8 +144,6 @@ def test_p37_coefficients_lie_under_the_height_bound():
     B2 = l ** _height(37, 32, 2)  # B**2, B the absolute value at every embedding
     assert max(abs(c).bit_length() for c in S.coeffs) == 4994
     assert all(c * c < 4 * B2 for c in S.coeffs)  # |c| < 2B
-    M = math.prod(q for qs, _, _ in residue_symbols._moduli_above(37, 16 * B2) for q in qs)
-    assert M * M > 16 * B2  # M > 4B
 
 
 @pytest.mark.parametrize("p,ls", [(5, (11, 31, 41, 61)), (7, (29, 43, 71, 113)), (11, (23, 67, 89, 199))])
