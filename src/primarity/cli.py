@@ -25,7 +25,7 @@ the first record leaves stdout empty.  Caches are JSON-lines files under
 --cache-dir; loading an existing cache requires --resume, which replays
 cached records verbatim and makes reruns byte-identical.  trace computes
 every R_l, a single --l included, by the cyclotomic-number route of
-spectra.
+spectra, whose trace_stream takes the split primes a chunk at a time.
 """
 
 from __future__ import annotations

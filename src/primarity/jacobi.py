@@ -18,7 +18,10 @@ factorials (kM)! mod l, and residue_symbols.classify reads S_n off the
 same values.  The same values are the Jacobi sums J(a, b) of the
 characters y**(aM) and y**(bM), so one 2D inverse DFT of size p x p turns
 them into the cyclotomic numbers that spectra's trace route reads; both
-DFTs are int64 products mod l, summed in blocks by _dot_mod.
+DFTs are int64 products mod l, summed in blocks by _dot_mod.  The
+factorials and the cyclotomic numbers take a list of split primes of one
+p, so one set of numpy calls serves a chunk of a trace catalog;
+TwistContext.build and a single trace pass a list of one.
 
 Exponent sets never multiply out S_n.  Mod p, Phi_p = (x-1)**(p-1) and J
 has augmentation 1, so log J = sum_{k<=p-2} (-1)**(k+1) (J-1)**k / k is
@@ -80,9 +83,10 @@ def pair_key(p: int, l: int, c: int | None = None,
     return p, l, c, primitive_root(l) if g is None else g
 
 
-def _powers(x: int, n: int, q: int) -> np.ndarray:
-    """x**k mod q for k in [0, n), int64."""
-    return np.array(list(accumulate(repeat(x, n - 1), lambda a, y: a * y % q, initial=1)),
+def _powers(x, n: int, q) -> np.ndarray:
+    """x**k mod q for k in [0, n) along the first axis, int64, for ints x and q or
+    arrays of one shape."""
+    return np.array(list(accumulate(repeat(x, n - 1), lambda a, y: a * y % q, initial=x ** 0)),
                     dtype=np.int64)
 
 
@@ -91,9 +95,10 @@ def _hankel(twice: np.ndarray) -> np.ndarray:
     return np.ndarray((len(twice) // 2,) * 2, twice.dtype, twice, 0, twice.strides * 2)
 
 
-def _mulmod(x: np.ndarray, y: np.ndarray, l: int) -> None:
+def _mulmod(x: np.ndarray, y: np.ndarray, l) -> None:
     """x = x*y - rint(x*y/l) l in place, for float64 integers with |x*y| < 2**52
-    and l <= 2**26: every step is exact, and |x| <= l/2 + 1 after."""
+    and l <= 2**26, an int or moduli that broadcast against x: every step is
+    exact, and |x| <= l/2 + 1 after."""
     x *= y
     q = x * (1 / l)
     np.rint(q, out=q)
@@ -101,68 +106,101 @@ def _mulmod(x: np.ndarray, y: np.ndarray, l: int) -> None:
     x -= q
 
 
-def _block_products(p: int, l: int) -> list[int]:
-    """(kM + 1)...((k+1)M) mod l for k < (p-1)/2, M = (l-1)/p, in float64.
+def _block_products(p: int, ls: list[int]) -> list[list[int]]:
+    """Row j: (kM + 1)...((k+1)M) mod l for k < (p-1)/2, l = ls[j], M = (l-1)/p, in float64.
 
-    A block splits into groups of S integers n .. n+S-1, the last one short
-    of R = M mod S.  With z = 2n + S - 1, members t and S-1-t multiply to
-    (z**2 - (2t+1)**2)/4, so one reduced z**2 serves the group, and each
-    block takes 4**(-M/2) once.  Row g, column k of a chunk of about _CHUNK
-    entries holds group g of block k; the short row takes only its first
-    R/2 factors, and halving products end the rows.  S = 2 while all pairs
-    fit one chunk, where numpy calls set the cost, and 16 beyond.  As
-    z < l, z**2 < l**2 <= 2**52, and products of reduced factors stay
-    below 2**51.
+    A block splits into groups of S integers n .. n+S-1.  With z = 2n + S - 1,
+    members t and S-1-t multiply to (z**2 - (2t+1)**2)/4, so one reduced
+    z**2 serves the group, and each block takes 4**(-M/2) once.  Column
+    (j, k) of a chunk of about _CHUNK entries holds block k of ls[j] and
+    row g its group g, reduced mod its own l; the constants of the columns
+    are scalars for one l.  Past the last whole group of a block, group g
+    has cnt = M - gS < S integers: it takes z = 2n + cnt - 1 and the pairs
+    t with 2t < cnt, none when cnt <= 0.  So pair t enters every row below
+    ceil((M - 2t)/S) at the least M of ls and is masked in the ragged rows
+    up to that number at the largest M, which only several l have.  Halving
+    products end the rows, in int64 once the grid has at most _CHUNK // 4
+    entries, where numpy calls set the cost.  S = 2 while all pairs fit one
+    chunk, where they do as well, and 16 beyond.  As z < l in every group,
+    z**2 < l**2 <= 2**52, and products of reduced factors stay below 2**51,
+    as do int64 products of residues.
     """
-    M, K = (l - 1) // p, (p - 1) // 2
-    S = 16 if K * M > 2 * _CHUNK else 2
-    G, R = divmod(M, S)
-    rows = G + (R > 0)
-    width = min(rows, max(1, _CHUNK // K))
-    starts = np.arange(2, 2 * K * M, 2 * M, dtype=float)  # 2n, n = kM + 1
+    K = (p - 1) // 2
+    Ms = [(l - 1) // p for l in ls]
+    S = 16 if K * sum(Ms) > 2 * _CHUNK else 2
+    least, most = min(Ms), max(Ms)
+    starts = [np.arange(2, 2 * K * M, 2 * M, dtype=float) for M in Ms]  # 2n, n = kM + 1
+    if len(ls) == 1:
+        mod, quarter, starts = ls[0], pow(4, -(least // 2), ls[0]), starts[0]
+    else:
+        quarters = [pow(4, -(M // 2), l) for M, l in zip(Ms, ls)]
+        mod, quarter, size = (np.repeat(x, K) for x in (ls, quarters, Ms))
+        starts = np.concatenate(starts)
+    width, rows = max(1, _CHUNK // len(starts)), -(-most // S)
     for g in range(0, rows, width):
         w = min(width, rows - g)
-        short = R > 0 and g + w == rows
         z = np.add.outer(np.arange(2 * S * g + S - 1, 2 * S * (g + w), 2 * S, dtype=float), starts)
-        if short:
-            z[-1] -= S - R
-        _mulmod(z, z, l)
-        prod = z - 1
-        for t in range(1, S // 2):
-            part = prod[:w - (short and 2 * t >= R)]
-            _mulmod(part, z[:len(part)] - (2 * t + 1) ** 2, l)
+        r = max(least // S - g, 0)  # the first row of the chunk past a whole group
+        if r < w and least == most:  # every short group in one row
+            z[r:] -= S - least % S
+        elif r < w:
+            over = np.arange(S * (g + r + 1), S * (g + w + 1), S)[:, None] - size  # S - cnt
+            z[r:] -= np.maximum(over, 0)
+        _mulmod(z, z, mod)
+        for t in range(S // 2):
+            some = min(-((2 * t - most) // S) - g, w)  # rows of the chunk with pair t in some column
+            every = max(-((2 * t - least) // S) - g, 0) if least < most else some
+            part = z[:some] - (2 * t + 1) ** 2
+            if every < some:
+                part[every:][over[every - r:some - r] >= S - 2 * t] = 1
+            if t:
+                _mulmod(prod[:some], part, mod)
+            else:
+                prod = part
+            del part  # so the next factor reuses its memory, as a temporary would
         if g:
-            _mulmod(acc[:w], prod, l)
+            _mulmod(acc[:w], prod, mod)
         else:
             acc = prod
-    while len(acc) > 1:
+    while len(acc) > 1 and acc.size > _CHUNK // 4:
         half = (len(acc) + 1) // 2
-        _mulmod(acc[:len(acc) - half], acc[half:], l)
+        _mulmod(acc[:len(acc) - half], acc[half:], mod)
         acc = acc[:half]
-    return (acc[0].astype(np.int64) * pow(4, -(M // 2), l) % l).tolist()
+    acc = acc.astype(np.int64)
+    while len(acc) > 1:  # two numpy calls a halving, not the five of _mulmod
+        half = (len(acc) + 1) // 2
+        low = acc[:len(acc) - half]
+        low *= acc[half:]
+        low %= mod
+        acc = acc[:half]
+    return (acc[0] * quarter % mod).reshape(len(ls), K).tolist()
 
 
-def _factorials(p: int, l: int) -> np.ndarray:
-    """F[k] = (kM)! mod l for k in [0, 2p-2], read-only: the upper half from one
-    inversion by Wilson's theorem, F[k] F[p-k] = -1, and 0 past p, as kM >= l."""
-    if l > LOG_TABLE_CAP:
-        raise ValueError(f"modulus {l} exceeds the log-table cap {LOG_TABLE_CAP}")
-    blocks = _block_products(p, l)
-    F = [1]
-    for b in blocks:
-        F.append(F[-1] * b % l)
-    inv, upper = pow(F[-1], -1, l), []
-    for b in reversed(blocks):  # inv = 1/F[k], k = (p-1)/2 .. 1
-        upper.append(l - inv)
-        inv = inv * b % l
-    F = np.array(F + upper + [l - 1] + [0] * (p - 2), dtype=np.int64)
+def _factorials(p: int, ls: list[int]) -> np.ndarray:
+    """Row j: F[k] = (kM)! mod l for k in [0, 2p-2], l = ls[j], read-only: the
+    upper half from one inversion by Wilson's theorem, F[k] F[p-k] = -1, and
+    0 past p, as kM >= l."""
+    if max(ls) > LOG_TABLE_CAP:
+        raise ValueError(f"modulus {max(ls)} exceeds the log-table cap {LOG_TABLE_CAP}")
+    rows = []
+    for l, blocks in zip(ls, _block_products(p, ls)):
+        F = [1]
+        for b in blocks:
+            F.append(F[-1] * b % l)
+        inv, upper = pow(F[-1], -1, l), []
+        for b in reversed(blocks):  # inv = 1/F[k], k = (p-1)/2 .. 1
+            upper.append(l - inv)
+            inv = inv * b % l
+        rows.append(F + upper + [l - 1] + [0] * (p - 2))
+    F = np.array(rows, dtype=np.int64)
     F.setflags(write=False)
     return F
 
 
-def jacobi_values(p: int, l: int, F: np.ndarray, i, b) -> np.ndarray:
+def jacobi_values(p: int, l, F: np.ndarray, i, b) -> np.ndarray:
     """J_i(h**b) mod l, h = g**M, from the factorials F, for i in [0, p) and
-    b in [1, p) that broadcast.
+    b in [1, p) that broadcast; F may also hold one column of factorials
+    per l, with l the row of their moduli.
 
     It is binom(bM, AM) = F[b] F[p-A] F[p-b+A], A = -i*b mod p, as 1/F[k] =
     -F[p-k], which is 0 exactly when A > b; at b = 0 it is 1, not J_i(1),
@@ -172,12 +210,14 @@ def jacobi_values(p: int, l: int, F: np.ndarray, i, b) -> np.ndarray:
     return F[b] * F[p - A] % l * F[A + (p - b)] % l
 
 
-def _dot_mod(x: np.ndarray, y: np.ndarray, l: int) -> np.ndarray:
-    """x @ y mod l for int64 x and y with entries in [0, l), summed in blocks
-    of the inner axis that keep int64 sums below 2**63."""
-    S, step = np.zeros((len(x), y.shape[1]), dtype=np.int64), (2**63 - 1 - l) // (l - 1) ** 2
-    for u in range(0, len(y), step):
-        S = (S + x[:, u:u + step] @ y[u:u + step]) % l
+def _dot_mod(x: np.ndarray, y: np.ndarray, l) -> np.ndarray:
+    """x @ y mod l for int64 x and y with entries in [0, l), stacks of matrices
+    included, and l <= LOG_TABLE_CAP an int or an array that broadcasts
+    against the product, summed in blocks of the inner axis that keep int64
+    sums below 2**63 at the cap."""
+    S, step = 0, (2**63 - 1 - LOG_TABLE_CAP) // (LOG_TABLE_CAP - 1) ** 2
+    for u in range(0, y.shape[-2], step):
+        S = (S + x[..., u:u + step] @ y[..., u:u + step, :]) % l
     return S
 
 
@@ -203,8 +243,8 @@ def _counts(ctx: TwistContext, indices) -> np.ndarray:
     return t
 
 
-def _cyclotomic_numbers(p: int, l: int) -> np.ndarray:
-    """N[d][m] = #{y in C_d : 1 + y in C_m} for a split prime l = 1 + 2ip, read-only.
+def _cyclotomic_numbers(p: int, ls: list[int]) -> np.ndarray:
+    """N[j, d, m] = #{y in C_d : 1 + y in C_m} for each split prime l = ls[j] of p, read-only.
 
     C_d = {y : y**M = w**d}, where w = a**M for the least a >= 2 with
     a**M != 1; any root of order p labels the cosets, and R_l does not see
@@ -213,18 +253,20 @@ def _cyclotomic_numbers(p: int, l: int) -> np.ndarray:
     sum_(d,m) N[d][m] w**(ad + bm) mod l.  They are l - 2 at a = b = 0, -1
     where a, b or a + b is 0, and -jacobi_values(a/b, b) elsewhere, which
     also gives -1 at a = 0 and a = -b.  So N = W J W / p**2 mod l, with
-    W[d, a] = w**(-ad), is exact, as every N[d][m] < l.
+    W[d, a] = w**(-ad), is exact, as every N[d][m] < l; one stack of
+    products mod each l serves the whole chunk.
     """
-    F = _factorials(p, l)
-    M = (l - 1) // p
-    w = next(x for x in (pow(a, M, l) for a in range(2, l)) if x != 1)
+    F = _factorials(p, ls)
+    ws = [next(x for x in (pow(a, (l - 1) // p, l) for a in range(2, l)) if x != 1) for l in ls]
+    L = np.array(ls)
     k = np.arange(p)
-    J = np.empty((p, p), dtype=np.int64)
-    J[k[:, None] * k[1:] % p, k[1:]] = l - jacobi_values(p, l, F, k[:, None], k[1:])
-    J[:, 0] = l - 1
-    J[0, 0] = l - 2
-    W = _powers(w, p, l)[k[:, None] * (p - k) % p]
-    N = _dot_mod(_dot_mod(W, J, l), W, l) * pow(p * p, -1, l) % l
+    J = np.empty((p, p, len(ls)), dtype=np.int64)  # the l last, as in F.T
+    J[k[:, None] * k[1:] % p, k[1:]] = L - jacobi_values(p, L, F.T, k[:, None], k[1:])
+    J[:, 0] = L - 1
+    J[0, 0] = L - 2
+    W = _powers(np.array(ws), p, L).T[:, k[:, None] * (p - k) % p]
+    L, scale = L[:, None, None], np.array([pow(p * p, -1, l) for l in ls])[:, None, None]
+    N = _dot_mod(_dot_mod(W, J.transpose(2, 0, 1), L), W, L) * scale % L
     N.setflags(write=False)
     return N
 
@@ -243,7 +285,7 @@ class TwistContext:
     def build(cls, p: int, l: int, c: int | None = None, g: int | None = None) -> "TwistContext":
         """Validate the pair, then find its factorials."""
         p, l, c, g = pair_key(p, l, c, g)
-        return cls(p=p, l=l, c=c, g=g, factorials=_factorials(p, l))
+        return cls(p=p, l=l, c=c, g=g, factorials=_factorials(p, [l])[0])
 
 
 def jacobi_counts(ctx: TwistContext, i: int) -> np.ndarray:

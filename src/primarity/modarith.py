@@ -72,10 +72,16 @@ def generator_test(q: int):
 
 
 def primitive_root(q: int) -> int:
-    """Smallest positive primitive root modulo the prime q."""
+    """Smallest positive primitive root modulo the prime q.
+
+    As q is prime, every g in [1, q) has g**(q-1) = 1, so the cofactors
+    (q-1)/f decide, the one of the least prime f first: it rejects half of
+    the candidates.
+    """
     if not is_prime(q):
         raise ValueError(f"q={q} is not prime")
-    return next(filter(generator_test(q), range(1, q)))
+    cofactors = [(q - 1) // f for f in dict.fromkeys(factorize(q - 1))]
+    return next(g for g in range(1, q) if all(pow(g, e, q) != 1 for e in cofactors))
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,10 @@ in C_m}, one 2D inverse DFT mod l of the Jacobi-sum values of jacobi
 (jacobi._cyclotomic_numbers), which only this route reads: they drive
 exact integer power sums of the periods, and Newton's identities turn
 those into coefficients without any degree l-1 arithmetic or any array
-of size l.  The dense route, which multiplies out prod(x - eta_b) inside
-F_p[y]/Phi_l(y) from a log table, is kept as the reference the fast
-route is tested against.
+of size l.  trace_stream computes the cyclotomic numbers of a chunk of
+split primes in one call and the power sums one l at a time.  The dense
+route, which multiplies out prod(x - eta_b) inside F_p[y]/Phi_l(y) from
+a log table, is kept as the reference the fast route is tested against.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice, takewhile
 from operator import attrgetter
 from typing import Iterable, Iterator
 
@@ -31,8 +34,11 @@ import numpy as np
 
 from .cycring import render_poly
 from .jacobi import TwistContext, _cyclotomic_numbers, check_pair, twist_product
-from .modarith import build_log_table, primitive_root, split_primes
+from .modarith import LOG_TABLE_CAP, build_log_table, primitive_root, split_primes
 from .records import JsonlStore, ordered_map, write_csv
+
+_BATCH_CELLS = 1 << 16  # cells B * p * p of the cyclotomic numbers of one chunk of trace_stream
+_BATCH_MAX = 64  # split primes per chunk, which bounds the ragged rows of the factorial grid
 
 
 class RankAccumulator:
@@ -193,14 +199,14 @@ def _trace_dense(p: int, l: int) -> list[int]:
     return coeffs
 
 
-def _trace_fast(p: int, l: int) -> list[int]:
-    """Coset-count route: exact power sums of the periods, then Newton.
+def _trace_fast(p: int, l: int, rows: list[list[int]]) -> list[int]:
+    """Coset-count route: exact power sums of the periods, then Newton, from
+    the cyclotomic numbers rows = N[d][m] of the pair.
 
     eta_i * eta_j expands through N[j-i][m], plus M = (l-1)/p when i = j
     because -1 lies in C_0, so powers of eta_0 stay in the redundant basis
     (constant, eta_0, ..., eta_(p-1)) with exact integer weights.
     """
-    rows = _cyclotomic_numbers(p, l).tolist()
     M = (l - 1) // p
     psums = [None, -1]  # the periods sum to -1
     cur_c, cur_b = 0, [1] + [0] * (p - 1)  # eta_0
@@ -226,21 +232,36 @@ def _trace_fast(p: int, l: int) -> list[int]:
     return coeffs
 
 
+def _fast_traces(p: int, ls: list[int]) -> list[TracePolynomial]:
+    """R_l by the fast route for pairs (p, l) already checked, one batch of
+    cyclotomic numbers for all of ls."""
+    return [TracePolynomial(p=p, l=l, coeffs=tuple(_trace_fast(p, l, rows)),
+                            residue_degree=residue_degree(p, l))
+            for l, rows in zip(ls, _cyclotomic_numbers(p, ls).tolist())]
+
+
 def trace_polynomial(p: int, l: int, method: str = "fast") -> TracePolynomial:
     """R_l for an odd prime p and a prime l = 1 (mod p).
 
     method "dense" selects the reference route; both routes agree everywhere.
     """
     check_pair(p, l)
-    if method == "dense":
-        coeffs = _trace_dense(p, l)
-    elif method == "fast":
-        coeffs = _trace_fast(p, l)
-    else:
+    if method == "fast":
+        return _fast_traces(p, [l])[0]
+    if method != "dense":
         raise ValueError(f"unknown method {method!r}")
     return TracePolynomial(
-        p=p, l=l, coeffs=tuple(coeffs), residue_degree=residue_degree(p, l)
+        p=p, l=l, coeffs=tuple(_trace_dense(p, l)), residue_degree=residue_degree(p, l)
     )
+
+
+def _computable(p: int, l: int) -> bool:
+    """Whether check_pair and the log-table cap let the fast route take (p, l)."""
+    try:
+        check_pair(p, l)
+    except ValueError:
+        return False
+    return l <= LOG_TABLE_CAP
 
 
 class TraceCatalog(JsonlStore):
@@ -252,8 +273,28 @@ class TraceCatalog(JsonlStore):
 def trace_stream(
     p: int, ls: Iterable[int], cache: TraceCatalog | None = None
 ) -> Iterator[TracePolynomial]:
-    """One TracePolynomial per l, replaying cached entries verbatim."""
-    return ordered_map(lambda key: trace_polynomial(*key), ((p, l) for l in ls), store=cache)
+    """One TracePolynomial per l, replaying cached entries verbatim.
+
+    The l are read in chunks of up to _BATCH_CELLS // p**2, at least one and
+    at most _BATCH_MAX, and the ones the cache misses are computed in one
+    batch, up to the first that check_pair or the log-table cap refuses.
+    That one is left to trace_polynomial, so its ValueError comes after the
+    records before it, and records are stored and yielded in stream order.
+    """
+    size = max(1, min(_BATCH_MAX, _BATCH_CELLS // (p * p)))
+    fresh: dict[tuple[int, int], TracePolynomial] = {}
+
+    def keys() -> Iterator[tuple[int, int]]:
+        it = iter(ls)
+        while chunk := list(islice(it, size)):
+            missing = (l for l in chunk if cache is None or cache.get(p, l) is None)
+            todo = list(takewhile(partial(_computable, p), missing))
+            fresh.clear()
+            if todo:
+                fresh.update((tp.key, tp) for tp in _fast_traces(p, todo))
+            yield from ((p, l) for l in chunk)
+
+    return ordered_map(lambda key: fresh.get(key) or trace_polynomial(*key), keys(), store=cache)
 
 
 def distinct_trace_count(

@@ -502,6 +502,35 @@ def test_torn_last_line_is_recomputed_on_resume(tmp_path, capsys, argv, name):
     assert all(json.loads(line) for line in stored)
 
 
+def _trace_cold(tmp_path, capsys):
+    """A cold trace --p 5 catalog of 150 rows, chunks of 64, 64 and 22, and its cache."""
+    args = ("trace", "--p", "5", "--l-max", "4500", "--cache-dir", str(tmp_path))
+    rc, cold, _ = run(capsys, *args)
+    assert rc == 0 and cold.endswith("p=5 distinct=30\n") and len(cold.splitlines()) == 151
+    return args, cold, (tmp_path / "trace.jsonl").read_bytes()
+
+
+def test_trace_resumes_a_torn_line_inside_a_chunk(tmp_path, capsys):
+    args, cold, stored = _trace_cold(tmp_path, capsys)
+    lines = stored.splitlines(keepends=True)
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(b"".join(lines[:100]) + lines[100][:20])  # row 101 of chunk 2, cut short
+    rc, warm, _ = run(capsys, *args, "--resume")
+    assert (rc, warm) == (0, cold)
+    assert path.read_bytes() == stored
+
+
+def test_trace_resumes_a_cache_of_every_other_key(tmp_path, capsys):
+    args, cold, stored = _trace_cold(tmp_path, capsys)
+    lines = stored.splitlines(keepends=True)
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(b"".join(lines[1::2]))
+    rc, warm, _ = run(capsys, *args, "--resume")
+    assert (rc, warm) == (0, cold)
+    # the cached rows stay where they were and the missing ones follow in stream order
+    assert path.read_bytes() == b"".join(lines[1::2] + lines[::2])
+
+
 def test_corrupt_middle_line_names_path_and_line(tmp_path, capsys):
     args = ("expp", "--p", "11", "--count", "3", "--cache-dir", str(tmp_path))
     run(capsys, *args)

@@ -127,7 +127,7 @@ def test_cyclotomic_kernel_matches_oracles():
         ctx = TwistContext.build(p, l, g=g)
         N = cyclotomic_numbers_naive(p, l, ctx.g)
         if g is None:
-            got = jacobi._cyclotomic_numbers(p, l)
+            got = jacobi._cyclotomic_numbers(p, [l])[0]
             assert got.tolist() == cyclotomic_numbers_by_powers(p, l, coset_root(p, l)), (p, l)
             assert _relabel(got, p, l, ctx.g).tolist() == N, (p, l)
         for i in range(1, ctx.c):
@@ -185,7 +185,7 @@ def test_cyclotomic_numbers_invariants_at_scan37_high_size():
     # the counts of every J_i are the anti-diagonal sums of N, labelled by g
     p, l = 37, 742073
     ctx = TwistContext.build(p, l)
-    N = _relabel(jacobi._cyclotomic_numbers(p, l), p, l, ctx.g)
+    N = _relabel(jacobi._cyclotomic_numbers(p, [l])[0], p, l, ctx.g)
     for i in range(1, p - 1):
         assert jacobi_counts(ctx, i).tolist() == jacobi_counts_from_cyclotomic(N.tolist(), p, i), i
     M, is0 = (l - 1) // p, np.arange(p) == 0
@@ -229,7 +229,7 @@ _BLOCK_PAIRS += [(4999, 19997), (37, 33301), (37, 33893)]
 
 @pytest.mark.parametrize("p,l", _BLOCK_PAIRS)
 def test_block_products_match_the_plain_products(p, l):
-    assert jacobi._block_products(p, l) == block_products_naive(p, l)
+    assert jacobi._block_products(p, [l]) == [block_products_naive(p, l)]
 
 
 def test_block_products_straddle_the_group_size_crossover():
@@ -245,9 +245,71 @@ def test_block_products_at_the_float64_edge(p, l):
     assert not any(is_prime(x) for x in range(l + 2 * p, LOG_TABLE_CAP, 2 * p))
     K = (p - 1) // 2
     ks = sorted({0, 1, K // 2, K - 1})
-    blocks = jacobi._block_products(p, l)
+    [blocks] = jacobi._block_products(p, [l])
     assert len(blocks) == K
     assert [blocks[k] for k in ks] == block_products_naive(p, l, ks)
+
+
+# Chunks of split primes fixed in advance.  Each mixes M = (l-1)/p from the
+# least split prime, M = 2 at p = 3 and 5, up to about 6000 with M < 16 and M divisible by 16, so the rows of the
+# factorial grid end at different heights; the wide chunks take groups of
+# 16, the narrow ones groups of 2.
+_WIDE_CHUNKS = {
+    3: [16519, 7, 97, 16561, 13, 2113, 193, 19, 16603],
+    5: [27541, 11, 241, 3511, 31, 401, 41, 27551],
+    7: [38543, 29, 113, 4943, 43, 337, 71, 38557],
+    37: [204019, 149, 593, 26641, 223, 1777, 205129],
+    151: [831407, 907, 2417, 110533, 1511, 36241, 831709],
+}
+_NARROW_CHUNKS = {
+    3: [7, 13, 19, 97, 193, 2113],
+    5: [11, 31, 41, 241, 401, 3511],
+    7: [29, 43, 71, 113, 337],
+    37: [149, 223, 593, 1777],
+    151: [907, 1511, 2417],
+}
+
+
+def _chunk_cases():
+    for chunks, wide in ((_WIDE_CHUNKS, True), (_NARROW_CHUNKS, False)):
+        for p, ls in chunks.items():
+            yield pytest.param(p, ls, wide, id=f"{p}-{'wide' if wide else 'narrow'}")
+
+
+@pytest.mark.parametrize("p,ls,wide", _chunk_cases())
+def test_factorials_of_a_chunk_match_chunks_of_one_and_the_plain_products(p, ls, wide):
+    K, Ms = (p - 1) // 2, [(l - 1) // p for l in ls]
+    assert all(l % (2 * p) == 1 and is_prime(l) for l in ls)
+    assert next(split_primes(p)) in ls  # M = 2 at p = 3 and 5
+    assert min(Ms) < 16 and any(M % 16 == 0 for M in Ms) and len(set(Ms)) == len(Ms)
+    assert (K * sum(Ms) > 2 * jacobi._CHUNK) == wide  # groups of 16, else of 2
+    assert not wide or max(Ms) > 5000
+    F = jacobi._factorials(p, ls)
+    blocks = jacobi._block_products(p, ls)
+    assert F.shape == (len(ls), 2 * p - 1) and not F.flags.writeable
+    for j, l in enumerate(ls):
+        assert F[j].tolist() == jacobi._factorials(p, [l])[0].tolist(), l
+        assert blocks[j] == block_products_naive(p, l), l
+        prefix = list(itertools.accumulate(blocks[j], lambda a, b: a * b % l, initial=1))
+        assert F[j, :K + 1].tolist() == prefix, l
+        assert all(F[j, k] * F[j, p - k] % l == l - 1 for k in range(p + 1)), l
+
+
+@pytest.mark.parametrize("p,ls", [(p, ls) for p, ls in _NARROW_CHUNKS.items()]
+                         + [(5, _WIDE_CHUNKS[5])])
+def test_cyclotomic_numbers_of_a_chunk_match_the_naive_counts(p, ls):
+    N = jacobi._cyclotomic_numbers(p, ls)
+    assert N.shape == (len(ls), p, p) and not N.flags.writeable
+    for j, l in enumerate(ls):
+        g = primitive_root(l)
+        assert _relabel(N[j], p, l, g).tolist() == cyclotomic_numbers_naive(p, l, g), l
+
+
+def test_a_chunk_with_an_l_past_the_cap_raises_the_cap_error():
+    # 67108721 is the largest split prime of 5 below the cap, 67108961 the least above it
+    assert is_prime(67108961) and 67108961 % 10 == 1 and 67108961 > LOG_TABLE_CAP
+    with pytest.raises(ValueError, match="modulus 67108961 exceeds the log-table cap"):
+        jacobi._factorials(5, [11, 67108721, 67108961, 31])
 
 
 def test_mulmod_is_exact_at_the_largest_prime_below_the_cap():
@@ -272,9 +334,9 @@ def test_build_raises_on_a_wrong_factorial_block(p, l, monkeypatch):
     blocks = jacobi._block_products
     K = (p - 1) // 2
     for k in sorted({0, 1, K // 2, K - 1}):
-        def wrong(p, l, k=k):
-            out = blocks(p, l)
-            out[k] = out[k] * 2 % l
+        def wrong(p, ls, k=k):
+            out = blocks(p, ls)
+            out[0][k] = out[0][k] * 2 % ls[0]
             return out
         monkeypatch.setattr(jacobi, "_block_products", wrong)
         ctx = TwistContext.build(p, l)

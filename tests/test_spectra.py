@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from primarity import spectra
 from primarity.cycring import CycModP
 from primarity.jacobi import TwistContext, twist_product
 from primarity.modarith import split_primes
@@ -262,6 +263,39 @@ def test_trace_catalog_replays_without_recomputation(tmp_path):
     again = list(trace_stream(3, [7, 13, 19], cache=TraceCatalog(path)))
     assert first == again
     assert len(TraceCatalog(path)) == 3
+
+
+@pytest.mark.parametrize("at", [3, 70])  # inside the first chunk of 64 and the second
+@pytest.mark.parametrize("bad,message", [
+    (25, "l=25 is not prime"),
+    (13, "l=13 does not split: l % p = 3"),
+    (67108961, "modulus 67108961 exceeds the log-table cap"),  # the least split prime past it
+])
+def test_trace_stream_yields_the_records_before_a_refused_l(tmp_path, at, bad, message):
+    ls = list(split_primes(5, count=at + 3))
+    cold = list(trace_stream(5, ls))
+    path = tmp_path / "trace.jsonl"
+    stream = trace_stream(5, [*ls[:at], bad, *ls[at:]], cache=TraceCatalog(path))
+    assert [next(stream) for _ in range(at)] == cold[:at]
+    with pytest.raises(ValueError, match=message):
+        next(stream)
+    assert path.read_text() == "".join(tp.to_json() + "\n" for tp in cold[:at])
+
+
+def test_trace_stream_computes_only_the_keys_a_chunk_misses(tmp_path, monkeypatch):
+    # every other key of two chunks is cached: each chunk computes the rest in one batch
+    ls = list(split_primes(5, count=100))
+    cold = list(trace_stream(5, ls))
+    path = tmp_path / "trace.jsonl"
+    list(trace_stream(5, ls[::2], cache=TraceCatalog(path)))
+    batches = []
+    real = spectra._cyclotomic_numbers
+    monkeypatch.setattr(spectra, "_cyclotomic_numbers",
+                        lambda p, chunk: batches.append(list(chunk)) or real(p, chunk))
+    assert list(trace_stream(5, ls, cache=TraceCatalog(path))) == cold
+    assert batches == [ls[1:64:2], ls[65::2]]
+    stored = sorted(path.read_text().splitlines())
+    assert stored == sorted(tp.to_json() for tp in cold)
 
 
 def test_heuristic_probability_against_exact_oracle():
